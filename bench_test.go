@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -236,21 +237,15 @@ func benchE5Engine(b *testing.B, eng sim.Engine) {
 // defect on freshly allocated systems).
 func BenchmarkE5_EngineExecute(b *testing.B) { benchE5Engine(b, sim.Execute) }
 
-// BenchmarkE5_EngineAuto measures the E5 campaign under the Auto engine
-// (trace replay, memoized channels, pooled systems, snapshot-resumed
-// execution fallback) — byte-identical results to Execute.
-func BenchmarkE5_EngineAuto(b *testing.B) { benchE5Engine(b, sim.Auto) }
-
 // BenchmarkE5_EngineBatch measures the E5 campaign under the batched
 // library-wide screening engine (one survivor-mask sweep per session trace,
-// resumed execution only for divergent (defect, session) pairs) — the
-// BENCH_PR8.json comparison against BenchmarkE5_EngineAuto, byte-identical
-// results to both Auto and Execute.
+// resumed execution only for divergent (defect, session) pairs) —
+// byte-identical results to Execute.
 func BenchmarkE5_EngineBatch(b *testing.B) { benchE5Engine(b, sim.Batch) }
 
 // benchWideBusEngine runs a wide-bus campaign under one engine — the second
-// target axis of the BENCH_PR8.json comparison, at a width (64 wires) where
-// the batch kernel's structure-of-arrays walk has the most wires per step.
+// target axis of BENCH_PR8.json, at a width (64 wires) where the batch
+// kernel's structure-of-arrays walk has the most wires per step.
 func benchWideBusEngine(b *testing.B, eng sim.Engine) {
 	tgt := target.MustWideBus(64)
 	plan, err := tgt.Generate(target.GenSpec{})
@@ -283,14 +278,13 @@ func benchWideBusEngine(b *testing.B, eng sim.Engine) {
 	b.ReportMetric(float64(st.Fallbacks)/float64(b.N), "fallbacks/op")
 }
 
-// BenchmarkWideBus64_EngineAuto and BenchmarkWideBus64_EngineBatch compare
-// per-defect replay against the batched sweep on the 64-wire scripted bus.
-func BenchmarkWideBus64_EngineAuto(b *testing.B)  { benchWideBusEngine(b, sim.Auto) }
+// BenchmarkWideBus64_EngineBatch measures the batched sweep on the 64-wire
+// scripted bus.
 func BenchmarkWideBus64_EngineBatch(b *testing.B) { benchWideBusEngine(b, sim.Batch) }
 
 // BenchmarkE5_Fleet4Workers measures the same E5 campaign dispatched by a
 // fleet coordinator across 4 in-process worker nodes (HTTP shard transfer
-// included) — the BENCH_PR4.json comparison against BenchmarkE5_EngineAuto.
+// included) — the BENCH_PR4.json comparison against BenchmarkE5_EngineBatch.
 // On one machine the fleet shares the standalone run's cores, so this
 // records distribution overhead, not speedup; the subsystem's scaling axis
 // is many machines.
@@ -395,26 +389,30 @@ func BenchmarkE5_TelemetryOverhead(b *testing.B) {
 // BenchmarkE5_FleetObsOverhead extends the BENCH_PR5 pairing to the fleet
 // observability layer: the on side runs the E5 campaign pair with full
 // telemetry plus the per-heartbeat federation work a coordinator and worker
-// add (render the live registry, parse it as ingest does, relabel and merge
-// two worker snapshots, render the fleet exposition) and an SLO burn-rate
-// evaluation tick; the off side is the disabled-telemetry baseline. Pairs
+// add (snapshot the live registry, JSON-encode it as the heartbeat does,
+// decode and validate it as ingest does, relabel and merge two worker
+// snapshots, render the fleet exposition) and an SLO burn-rate evaluation
+// tick; the off side is the disabled-telemetry baseline. Pairs
 // interleave so machine drift cancels — the BENCH_PR10.json figure behind
 // the ≤2% federation+SLO overhead bound.
 func BenchmarkE5_FleetObsOverhead(b *testing.B) {
 	on := campaign.New(campaign.Config{Obs: obs.NewTelemetry()})
 	off := campaign.New(campaign.Config{Obs: obs.Disabled()})
 	fleetCycle := func() {
-		var exp strings.Builder
-		if err := on.Obs().Reg.WritePrometheus(&exp); err != nil {
+		heartbeat, err := json.Marshal(on.Obs().Reg.Snapshot())
+		if err != nil {
 			b.Fatal(err)
 		}
 		snaps := make(map[string]*obs.Snapshot, 2)
 		for _, url := range []string{"http://w1:1", "http://w2:1"} {
-			snap, err := obs.ParseExposition(strings.NewReader(exp.String()))
-			if err != nil {
+			var snap obs.Snapshot
+			if err := json.Unmarshal(heartbeat, &snap); err != nil {
 				b.Fatal(err)
 			}
-			snaps[url] = snap
+			if err := snap.Validate(); err != nil {
+				b.Fatal(err)
+			}
+			snaps[url] = &snap
 		}
 		fed, err := obs.Federate(snaps)
 		if err != nil {

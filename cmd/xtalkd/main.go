@@ -3,10 +3,11 @@
 // worker pool shared across jobs, and serves status, progress streams,
 // results, metrics and cancellation. See internal/campaign for the API.
 //
-// A spec's "engine" field selects the simulation engine per job ("auto",
-// "execute" or "replay"; see internal/sim); progress events report how many
-// defects the replay tier resolved versus fell back to execution, and
-// /metrics exposes the aggregate engine and channel-memo counters.
+// A spec's "engine" field selects the simulation engine per job ("auto" or
+// "batch" for the batched sweep, "execute" for the reference oracle; see
+// internal/sim); progress events report how many defects the sweep resolved
+// versus fell back to execution, and /metrics exposes the aggregate engine
+// and channel-memo counters.
 //
 // Beyond plain campaigns, a spec's "type" field selects an analysis job
 // (see internal/diagnose): "diagnose" builds the fault dictionary and
@@ -256,17 +257,23 @@ func debugMux(tel *obs.Telemetry) *http.ServeMux {
 
 // heartbeatLoop registers the worker with the coordinator immediately and
 // then keeps the registration fresh, so an expired or restarted coordinator
-// re-learns the worker within one period. Each beat carries the worker's
-// rendered metrics exposition, which the coordinator federates into the
+// re-learns the worker within one period. Each beat carries a snapshot of
+// the worker's metrics registry, which the coordinator federates into the
 // fleet-wide xtalkd_fleet_* families — the heartbeat doubles as the scrape
 // transport, so no extra listener or pull path is needed.
 func heartbeatLoop(ctx context.Context, tel *obs.Telemetry, coordinator, advertise string, period time.Duration) {
 	beat := func() {
-		var metrics bytes.Buffer
+		hb := fleet.RegisterRequest{URL: advertise}
 		if tel.Enabled() {
-			tel.Reg.WritePrometheus(&metrics)
+			hb.Metrics = tel.Reg.Snapshot()
 		}
-		body, _ := json.Marshal(fleet.RegisterRequest{URL: advertise, Metrics: metrics.String()})
+		body, err := json.Marshal(hb)
+		if err != nil {
+			// JSON has no spelling for a non-finite func value; keep the
+			// registration alive and skip this beat's metrics.
+			log.Printf("xtalkd: heartbeat metrics not encodable: %v", err)
+			body, _ = json.Marshal(fleet.RegisterRequest{URL: advertise})
+		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			coordinator+"/v1/fleet/workers", bytes.NewReader(body))
 		if err != nil {

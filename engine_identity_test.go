@@ -1,5 +1,5 @@
-// Enforces the trace-replay engine's headline guarantee: a campaign run
-// with Engine: Auto (replay + divergence fallback) renders byte-identical
+// Enforces the engines' headline guarantee: a campaign run under the
+// batched engine — spelled "auto" or "batch" — renders byte-identical
 // CampaignResult JSON to the execute-only reference engine for the full E5
 // campaign on both busses.
 package repro_test
@@ -64,47 +64,50 @@ func TestEngineByteIdentityE5(t *testing.T) {
 				return buf.Bytes()
 			}
 			exec := render(sim.Execute)
-			auto := render(sim.Auto)
-			if !bytes.Equal(exec, auto) {
-				for i := 0; i < len(exec) && i < len(auto); i++ {
-					if exec[i] != auto[i] {
-						lo, hi := i-80, i+80
-						if lo < 0 {
-							lo = 0
-						}
-						if hi > len(exec) {
-							hi = len(exec)
-						}
-						t.Fatalf("campaign JSON diverges at byte %d:\nexecute: %s\nauto:    %s",
-							i, exec[lo:hi], auto[lo:min(hi, len(auto))])
-					}
+			for _, name := range []string{"auto", "batch"} {
+				eng, err := sim.ParseEngine(name)
+				if err != nil {
+					t.Fatal(err)
 				}
-				t.Fatalf("campaign JSON lengths differ: execute %d, auto %d", len(exec), len(auto))
+				before := r.Stats()
+				got := render(eng)
+				after := r.Stats()
+				if !bytes.Equal(exec, got) {
+					for i := 0; i < len(exec) && i < len(got); i++ {
+						if exec[i] != got[i] {
+							lo, hi := i-80, i+80
+							if lo < 0 {
+								lo = 0
+							}
+							if hi > len(exec) {
+								hi = len(exec)
+							}
+							t.Fatalf("campaign JSON diverges at byte %d:\nexecute: %s\n%-8s %s",
+								i, exec[lo:hi], name+":", got[lo:min(hi, len(got))])
+						}
+					}
+					t.Fatalf("campaign JSON lengths differ: execute %d, %s %d", len(exec), name, len(got))
+				}
+				// The batched sweep must keep the whole library out of the
+				// full Execute tier: clean defects are screened in O(1),
+				// divergent ones resume execution as fallbacks, and nothing
+				// else runs.
+				if d := after.Executes - before.Executes; d != 0 {
+					t.Errorf("%s campaign performed %d full Execute runs, want 0", name, d)
+				}
+				screened := after.BatchScreened - before.BatchScreened
+				fallbacks := after.Fallbacks - before.Fallbacks
+				if screened+fallbacks != int64(size) {
+					t.Errorf("%s accounting: screened %d + fallbacks %d != %d defects",
+						name, screened, fallbacks, size)
+				}
+				if sweeps := after.BatchSweeps - before.BatchSweeps; sweeps != int64(len(plan.Programs)) {
+					t.Errorf("%s performed %d sweeps, want one per session (%d)",
+						name, sweeps, len(plan.Programs))
+				}
+				t.Logf("%s bus, %s: %d defects, %d bytes of campaign JSON byte-identical to execute (%d batch-screened)",
+					bc.name, name, size, len(exec), screened)
 			}
-			before := r.Stats()
-			batch := render(sim.Batch)
-			if !bytes.Equal(exec, batch) {
-				t.Fatalf("batch campaign JSON differs from execute (%d vs %d bytes)", len(batch), len(exec))
-			}
-			// The batched sweep must keep the whole library out of the full
-			// Execute tier: clean defects are screened in O(1), divergent ones
-			// resume execution as fallbacks, and nothing else runs.
-			after := r.Stats()
-			if d := after.Executes - before.Executes; d != 0 {
-				t.Errorf("batch campaign performed %d full Execute runs, want 0", d)
-			}
-			screened := after.BatchScreened - before.BatchScreened
-			fallbacks := after.Fallbacks - before.Fallbacks
-			if screened+fallbacks != int64(size) {
-				t.Errorf("batch accounting: screened %d + fallbacks %d != %d defects",
-					screened, fallbacks, size)
-			}
-			if sweeps := after.BatchSweeps - before.BatchSweeps; sweeps != int64(len(plan.Programs)) {
-				t.Errorf("batch performed %d sweeps, want one per session (%d)",
-					sweeps, len(plan.Programs))
-			}
-			t.Logf("%s bus: %d defects, %d bytes of campaign JSON byte-identical across engines (%d batch-screened)",
-				bc.name, size, len(exec), screened)
 		})
 	}
 }

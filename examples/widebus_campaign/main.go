@@ -1,12 +1,12 @@
 // Wide-bus campaign: runs the full crosstalk defect-simulation flow on the
 // synthetic scripted-bus backend instead of the Parwan SoC — the same MAF
-// model, channel arithmetic, two-tier engine and set-cover minimization,
+// model, channel arithmetic, batched engine and set-cover minimization,
 // applied to a 16/32/64-wire unidirectional bus driven by a scripted
 // initiator.
 //
 // Expected shape: every defect the Gaussian library accepts is detected
 // (the MA pairs maximize each victim's aggression, as on Parwan's busses),
-// the Auto engine resolves clean defects by trace replay alone, and the
+// the batched engine clears clean defects in its trace sweep alone, and the
 // minimized program covers all attributed defects with far fewer than the
 // full 4N tests.
 package main

@@ -80,11 +80,11 @@ type Spec struct {
 	// Workers caps this job's concurrent defect runs; zero means "up to the
 	// shared pool size". The shared pool bounds total concurrency anyway.
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the simulation engine: "auto" (trace replay with
-	// execution fallback, exact), "execute" (full execution for every
-	// defect), "replay" (screening only; see sim.Replay), or "batch"
-	// (library-wide screening sweep with execution of the divergent
-	// remainder, exact; see sim.Batch). Empty selects "auto".
+	// Engine selects the simulation engine: "batch" (library-wide screening
+	// sweep with resumed execution of the divergent remainder; see
+	// sim.Batch) or "execute" (full execution for every defect, the
+	// reference oracle). "auto" is the default spelling of "batch"; empty
+	// normalizes to "auto". Both engines are exact.
 	Engine string `json:"engine,omitempty"`
 	// SliceCycles, Slices and IntervalMS configure infield jobs only.
 	// SliceCycles is the per-slice golden-cycle budget (zero slices at the
@@ -192,7 +192,7 @@ func (s Spec) normalized() Spec {
 		s.CthFactor = crosstalk.DefaultCthFactor
 	}
 	if s.Engine == "" {
-		s.Engine = sim.Auto.String()
+		s.Engine = "auto"
 	}
 	return s
 }
@@ -292,9 +292,9 @@ const (
 func (s State) Terminal() bool { return s == Done || s == Failed || s == Canceled }
 
 // Progress is one progress event: counts over the defect library so far.
-// ReplayHits counts defects the replay tier resolved without CPU execution;
-// Executed counts defects that needed full execution (a fallback under the
-// auto engine, every defect under the execute engine).
+// ReplayHits counts defects the batched sweep resolved without CPU
+// execution; Executed counts defects that needed execution (a fallback
+// under the batched engine, every defect under the execute engine).
 type Progress struct {
 	State State `json:"state"`
 	// Type is the job's product type (Spec.JobType); Phase is the stage
@@ -531,8 +531,8 @@ type Metrics struct {
 	Workers            int   `json:"workers"`
 	BusyWorkers        int   `json:"busy_workers"`
 	// Engine is the aggregate of every cached runner's engine counters:
-	// replay-tier hits, execution fallbacks, forced executions, screening
-	// verdicts, and channel-memo traffic (see sim.EngineStats).
+	// sweep-tier hits, execution fallbacks, forced executions, and
+	// channel-memo traffic (see sim.EngineStats).
 	Engine sim.EngineStats `json:"engine"`
 }
 
@@ -647,8 +647,6 @@ func New(cfg Config) *Manager {
 		m.engineStat(func(s sim.EngineStats) int64 { return s.Fallbacks }))
 	reg.CounterFunc("xtalkd_engine_executes_total", "defect runs performed by the execute tier",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.Executes }))
-	reg.CounterFunc("xtalkd_engine_screened_total", "replay-engine runs classified from divergence alone",
-		m.engineStat(func(s sim.EngineStats) int64 { return s.Screened }))
 	reg.CounterFunc("xtalkd_engine_degraded_executes_total", "replay-engine requests degraded to execution (replay precondition void)",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.DegradedExecutes }))
 	reg.CounterFunc("xtalkd_engine_batch_screened_total", "defects cleared by the batched library-wide screening sweep",
@@ -772,7 +770,6 @@ func (m *Manager) Metrics() Metrics {
 		eng.Fallbacks += s.Fallbacks
 		eng.Executes += s.Executes
 		eng.DegradedExecutes += s.DegradedExecutes
-		eng.Screened += s.Screened
 		eng.BatchScreened += s.BatchScreened
 		eng.BatchSweeps += s.BatchSweeps
 		eng.MemoHits += s.MemoHits
@@ -1229,9 +1226,9 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 		var fellBack atomic.Bool
 		opts.Observe = func(out sim.Outcome, d time.Duration) {
 			observe(out, d)
-			// One event per job, not per defect: the fact that the replay
+			// One event per job, not per defect: the fact that the sweep
 			// tier gave up is interesting; its thousandth repetition is not.
-			if !out.Replayed && (opts.Engine == sim.Auto || opts.Engine == sim.Batch) && fellBack.CompareAndSwap(false, true) {
+			if !out.Replayed && opts.Engine == sim.Batch && fellBack.CompareAndSwap(false, true) {
 				m.obs.Record("engine.fallback", obs.Label{Key: "job", Value: job.id})
 			}
 		}
@@ -1377,8 +1374,9 @@ func (m *Manager) verifyCampaign(ctx context.Context, spec Spec, minPlan *core.P
 }
 
 // observeTier maps a completed defect run to its engine tier's latency
-// histogram: replay (no CPU execution), execute (forced full execution), or
-// fallback (auto-engine replay divergence resolved by resumed execution).
+// histogram: replay (settled by the batched sweep, no CPU execution),
+// execute (forced full execution), or fallback (sweep divergence resolved by
+// resumed execution).
 func (m *Manager) observeTier(engine sim.Engine) func(out sim.Outcome, d time.Duration) {
 	return func(out sim.Outcome, d time.Duration) {
 		tier := "fallback"

@@ -249,10 +249,19 @@ func TestProgressIsMonotone(t *testing.T) {
 
 // TestEngineSpecAndCounters submits the same campaign under the auto and
 // execute engines: the rendered results must be byte-identical, the job
-// progress must attribute every defect to replay or execution, and the
-// manager metrics must aggregate the runner's engine counters.
+// progress must attribute every defect to the sweep or to execution, and the
+// manager metrics must aggregate the runner's engine counters. The retired
+// "replay" spelling is rejected at submission.
 func TestEngineSpecAndCounters(t *testing.T) {
 	m := New(Config{Workers: 2})
+	replay := smallSpec()
+	replay.Engine = "replay"
+	if err := replay.Validate(); err == nil {
+		t.Fatal(`spec with engine "replay" validated`)
+	}
+	if _, err := m.Submit(replay); err == nil {
+		t.Fatal(`job with engine "replay" accepted`)
+	}
 	auto, err := m.Submit(smallSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +280,8 @@ func TestEngineSpecAndCounters(t *testing.T) {
 		t.Fatalf("engine replay %d + fallbacks %d != %d defects",
 			mt.Engine.ReplayHits, mt.Engine.Fallbacks, st.Progress.Done)
 	}
-	if mt.Engine.Executes != 0 || mt.Engine.Screened != 0 {
-		t.Fatalf("auto campaign counted executes=%d screened=%d", mt.Engine.Executes, mt.Engine.Screened)
+	if mt.Engine.Executes != 0 {
+		t.Fatalf("auto campaign counted executes=%d", mt.Engine.Executes)
 	}
 	if mt.Engine.MemoMisses == 0 {
 		t.Fatal("memoized channels recorded no traffic")

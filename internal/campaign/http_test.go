@@ -113,8 +113,8 @@ func TestHTTPSubmitStatusResult(t *testing.T) {
 func TestHTTPResultBeforeDoneAndUnknownJob(t *testing.T) {
 	m, ts := newTestServer(t, 1)
 	// A job that takes a while: result must 409 while it runs. Force the
-	// execute engine — under the default auto engine replay can finish the
-	// whole campaign before the result request lands.
+	// execute engine — under the default auto engine the sweep can finish
+	// the whole campaign before the result request lands.
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns",
 		`{"bus":"addr","size":400,"seed":3,"target_only":true,"engine":"execute"}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -307,6 +307,7 @@ func TestHTTPBadSubmissions(t *testing.T) {
 		`{"bus":"ctrl"}`,
 		`{"bus":"addr","bogus_field":1}`,
 		`{"bus":"addr","engine":"warp"}`,
+		`{"bus":"addr","engine":"replay"}`,
 	} {
 		resp, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -354,7 +355,6 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		"xtalkd_engine_replay_hits_total ",
 		"xtalkd_engine_fallbacks_total ",
 		"xtalkd_engine_executes_total 0",
-		"xtalkd_engine_screened_total 0",
 		"xtalkd_channel_memo_hits_total ",
 		"xtalkd_channel_memo_misses_total ",
 	} {
@@ -362,8 +362,11 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
-	// The auto engine resolves every defect by replay or by fallback
+	// The auto engine resolves every defect by the sweep or by fallback
 	// execution, so the two counters sum to the defect count.
+	if strings.Contains(text, "xtalkd_engine_screened_total") {
+		t.Errorf("metrics still expose the retired replay-screening family:\n%s", text)
+	}
 	if got := metricValue(t, text, "xtalkd_engine_replay_hits_total") +
 		metricValue(t, text, "xtalkd_engine_fallbacks_total"); got != 60 {
 		t.Errorf("replay hits + fallbacks = %d, want 60:\n%s", got, text)

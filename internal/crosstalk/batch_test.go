@@ -38,7 +38,7 @@ func perturbedSets(t *testing.T, width, n int, seed int64) []*Params {
 // over random perturbed parameter sets and random transitions, bit d of the
 // batch event mask must be set exactly when Channel.Transmit on set d
 // produces a non-empty event list — the same per-transition divergence
-// verdict the per-defect replay tier reaches, across packed-key (<=31 wires)
+// verdict a per-defect channel reaches, across packed-key (<=31 wires)
 // and wide (>31 wires) widths and both drive directions.
 func TestBatchMatchesChannelTransmit(t *testing.T) {
 	for _, width := range []int{2, 8, 12, 32, 40, 64} {

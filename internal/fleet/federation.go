@@ -10,20 +10,19 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the coordinator's federation surface: workers push their
-// rendered registry exposition on every heartbeat (reusing the existing
+// This file is the coordinator's federation surface: workers push a typed
+// snapshot of their registry on every heartbeat (reusing the existing
 // transport rather than opening a reverse scrape path through NAT or
-// firewalls), the coordinator parses and retains the latest snapshot per
+// firewalls), the coordinator validates and retains the latest snapshot per
 // worker, and /metrics on the coordinator serves its own registry merged
 // with every worker's relabeled families — one scrape shows the fleet.
 
-// IngestMetrics parses a worker's pushed exposition and retains it as that
-// worker's federation snapshot. The worker must already be registered (the
-// heartbeat handler registers before ingesting). A parse failure leaves the
-// previous snapshot in place.
-func (c *Coordinator) IngestMetrics(url, exposition string) error {
-	snap, err := obs.ParseExposition(strings.NewReader(exposition))
-	if err != nil {
+// IngestMetrics validates a worker's pushed registry snapshot and retains it
+// as that worker's federation snapshot. The worker must already be
+// registered (the heartbeat handler registers before ingesting). An invalid
+// snapshot leaves the previous one in place.
+func (c *Coordinator) IngestMetrics(url string, snap *obs.Snapshot) error {
+	if err := snap.Validate(); err != nil {
 		return fmt.Errorf("fleet: ingest metrics from %s: %w", url, err)
 	}
 	c.mu.Lock()
@@ -58,14 +57,7 @@ func (c *Coordinator) workerSnapshots() map[string]*obs.Snapshot {
 // in sorted URL order, so the output is byte-stable regardless of heartbeat
 // arrival order.
 func (c *Coordinator) WriteFederatedMetrics(w io.Writer) error {
-	var own strings.Builder
-	if err := c.obs.Reg.WritePrometheus(&own); err != nil {
-		return err
-	}
-	snap, err := obs.ParseExposition(strings.NewReader(own.String()))
-	if err != nil {
-		return fmt.Errorf("fleet: parsing own registry: %w", err)
-	}
+	snap := c.obs.Reg.Snapshot()
 	fed, err := obs.Federate(c.workerSnapshots())
 	if err != nil {
 		return err
@@ -167,16 +159,16 @@ func (c *Coordinator) FleetStatus() FleetStatus {
 			if v, ok := r.snap.Value("xtalkd_fleet_shards_served_total", ""); ok {
 				ws.ShardsServed = int64(v)
 			}
-			for name, fam := range r.snap.Families {
+			for name := range r.snap.Families {
 				if !strings.HasPrefix(name, "xtalkd_engine_") {
 					continue
 				}
-				if sv, ok := fam.Series[""]; ok && sv.Hist == nil {
+				if v, ok := r.snap.Value(name, ""); ok {
 					if ws.Engines == nil {
 						ws.Engines = make(map[string]int64)
 					}
 					key := strings.TrimSuffix(strings.TrimPrefix(name, "xtalkd_engine_"), "_total")
-					ws.Engines[key] = int64(sv.Value)
+					ws.Engines[key] = int64(v)
 				}
 			}
 		}

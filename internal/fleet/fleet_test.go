@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/parwan"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/target"
 )
 
 // startWorkers spins up n in-process fleet workers (each with its own
@@ -43,12 +43,15 @@ func singleNodeJSON(t *testing.T, spec campaign.Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	width := parwan.AddrBits
-	if n.Bus == "data" {
-		width = parwan.DataBits
+	tgt, err := target.Parse(n.Target)
+	if err != nil {
+		t.Fatal(err)
 	}
+	width := tgt.Topology().Channels[n.BusID()].Width
+	res := sim.Aggregate(n.BusID(), outcomes)
+	res.BusName = n.Bus
 	var buf bytes.Buffer
-	if err := report.WriteCampaignJSON(&buf, sim.Aggregate(n.BusID(), outcomes), width); err != nil {
+	if err := report.WriteCampaignJSON(&buf, res, width); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -94,9 +97,9 @@ func TestFleetByteIdenticalE5(t *testing.T) {
 
 // TestFleetBatchEngineByteIdentity extends the fleet acceptance to the
 // batched screening engine: each worker batches its own shard's sub-library,
-// and the merged fleet JSON must match both the fleet's Auto rendering and a
-// single-node batched run — on the paper's E5 campaign and on a wide-bus
-// target.
+// and the merged fleet JSON under both spellings of the engine ("batch" and
+// "auto") must match a single-node run of the Execute oracle — on the
+// paper's E5 campaign and on a wide-bus target.
 func TestFleetBatchEngineByteIdentity(t *testing.T) {
 	size := 1000 // the paper's library size
 	if testing.Short() {
@@ -104,30 +107,31 @@ func TestFleetBatchEngineByteIdentity(t *testing.T) {
 	}
 	coord, _ := startWorkers(t, 3)
 
-	batchSpec := campaign.Spec{Bus: "addr", Size: size, Seed: 1, Engine: "batch"}
-	autoSpec := batchSpec
-	autoSpec.Engine = "auto"
-	batch, fs := fleetJSON(t, coord, batchSpec, 0)
-	auto, _ := fleetJSON(t, coord, autoSpec, 0)
-	if !bytes.Equal(batch, auto) {
-		t.Fatalf("fleet batch JSON differs from fleet auto (%d vs %d bytes)", len(batch), len(auto))
+	for _, c := range []struct {
+		spec campaign.Spec
+		size int
+	}{
+		{campaign.Spec{Bus: "addr", Size: size, Seed: 1}, size},
+		{campaign.Spec{Target: "widebus32", Bus: "bus", Size: 160, Seed: 9}, 160},
+	} {
+		execSpec := c.spec
+		execSpec.Engine = "execute"
+		want := singleNodeJSON(t, execSpec)
+		for _, name := range []string{"batch", "auto"} {
+			spec := c.spec
+			spec.Engine = name
+			got, fs := fleetJSON(t, coord, spec, 0)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s fleet %s JSON differs from single-node execute (%d vs %d bytes)",
+					spec.TargetName(), name, len(got), len(want))
+			}
+			if fs.ReplayHits+fs.Executed != c.size {
+				t.Fatalf("%s fleet %s attribution covers %d defects, want %d",
+					spec.TargetName(), name, fs.ReplayHits+fs.Executed, c.size)
+			}
+		}
 	}
-	if single := singleNodeJSON(t, batchSpec); !bytes.Equal(batch, single) {
-		t.Fatalf("fleet batch JSON differs from single-node batch run (%d vs %d bytes)", len(batch), len(single))
-	}
-	if fs.ReplayHits+fs.Executed != size {
-		t.Fatalf("fleet attribution covers %d defects, want %d", fs.ReplayHits+fs.Executed, size)
-	}
-
-	wideBatch := campaign.Spec{Target: "widebus32", Bus: "bus", Size: 160, Seed: 9, Engine: "batch"}
-	wideAuto := wideBatch
-	wideAuto.Engine = "auto"
-	wb, _ := fleetJSON(t, coord, wideBatch, 0)
-	wa, _ := fleetJSON(t, coord, wideAuto, 0)
-	if !bytes.Equal(wb, wa) {
-		t.Fatalf("widebus fleet batch JSON differs from auto (%d vs %d bytes)", len(wb), len(wa))
-	}
-	t.Logf("fleet batch: %d E5 defects + 160 widebus defects byte-identical across engines", size)
+	t.Logf("fleet batch: %d E5 defects + 160 widebus defects byte-identical to execute", size)
 }
 
 // TestFleetWorkerDeathMidCampaign kills one of three workers after it

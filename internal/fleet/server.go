@@ -2,12 +2,14 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -69,17 +71,27 @@ func (s *CoordinatorServer) status(w http.ResponseWriter, _ *http.Request) {
 func (s *CoordinatorServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // RegisterRequest is a worker's registration/heartbeat body. Metrics, when
-// non-empty, is the worker's rendered Prometheus exposition: the heartbeat
-// doubles as the federation scrape so no reverse connection is needed.
+// present, is a snapshot of the worker's registry: the heartbeat doubles as
+// the federation scrape so no reverse connection is needed.
 type RegisterRequest struct {
-	URL     string `json:"url"`
-	Metrics string `json:"metrics,omitempty"`
+	URL     string        `json:"url"`
+	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
+
+// maxRegisterBytes bounds a registration/heartbeat body. A worker's
+// registry snapshot is a few kilobytes; the bound keeps a misbehaving peer
+// from making the coordinator buffer an arbitrary payload.
+const maxRegisterBytes = 1 << 20
 
 func (s *CoordinatorServer) register(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRegisterBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSONError(w, code, fmt.Errorf("decoding registration: %w", err))
 		return
 	}
 	if req.URL == "" {
@@ -87,7 +99,7 @@ func (s *CoordinatorServer) register(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.c.Register(req.URL)
-	if req.Metrics != "" {
+	if req.Metrics != nil {
 		if err := s.c.IngestMetrics(req.URL, req.Metrics); err != nil {
 			writeJSONError(w, http.StatusBadRequest, err)
 			return

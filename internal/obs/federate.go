@@ -4,308 +4,143 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// This file implements metric federation: parsing a Prometheus text
-// exposition back into a mergeable model, relabeling worker families under
-// the fleet namespace with a worker label, merging snapshots (summing
-// counters/gauges, bucket-wise histogram addition), and re-rendering the
-// merged model with exactly the same byte conventions as
-// Registry.WritePrometheus — so a federated scrape is deterministic for any
-// scrape order and passes the strict exposition linter.
+// This file implements metric federation over typed registry snapshots:
+// Registry.Snapshot reads a registry into a mergeable model, workers ship
+// that model on their heartbeat, and the coordinator validates it, relabels
+// worker families under the fleet namespace with a worker label, merges
+// snapshots (summing counters/gauges, bucket-wise histogram addition), and
+// renders the result with the one renderer every /metrics endpoint shares —
+// so a federated scrape is deterministic for any scrape order and passes
+// the strict exposition linter.
 
-// HistValue is a parsed histogram series: per-bucket (non-cumulative)
-// counts, bucket upper bounds kept as their rendered strings so merging
-// never re-formats a bound, and the running sum.
+// HistValue is a histogram series: bucket upper bounds (ascending,
+// excluding +Inf), per-bucket (non-cumulative) counts with the +Inf bucket
+// last, and the running sum.
 type HistValue struct {
-	Bounds []string // rendered bounds, ascending, excluding +Inf
-	Counts []int64  // len(Bounds)+1; last is the +Inf bucket
-	Sum    float64
+	Bounds []float64 `json:"bounds"`
+	Counts []int64   `json:"counts"`
+	Sum    float64   `json:"sum"`
 }
 
-// SeriesValue is one parsed sample stream. Raw preserves the exact rendered
-// value text for series that are never merged, so federation is a byte-level
-// passthrough for unmerged series; merged series re-render via formatFloat.
+// SeriesValue is one sample stream: its labels and either a histogram or a
+// scalar. A scalar is an integer (Int, set for Counter and Gauge series and
+// rendered with %d) or a float (Float, for func-backed series and merged
+// sums, rendered via formatFloat); the two spellings differ at scale —
+// 1000000 versus 1e+06 — so the distinction survives transport.
 type SeriesValue struct {
-	Labels string // rendered {k="v",...} or ""
-	Value  float64
-	Raw    string
-	Hist   *HistValue
+	Labels []Label    `json:"labels,omitempty"`
+	Int    *int64     `json:"int,omitempty"`
+	Float  float64    `json:"float,omitempty"`
+	Hist   *HistValue `json:"hist,omitempty"`
 }
 
-// Family is one parsed metric family.
+// value returns the scalar value as a float.
+func (sv SeriesValue) value() float64 {
+	if sv.Int != nil {
+		return float64(*sv.Int)
+	}
+	return sv.Float
+}
+
+// clone deep-copies the series so merges never alias a registry's or a
+// peer's slices.
+func (sv SeriesValue) clone() SeriesValue {
+	sv.Labels = append([]Label(nil), sv.Labels...)
+	if sv.Int != nil {
+		v := *sv.Int
+		sv.Int = &v
+	}
+	if sv.Hist != nil {
+		sv.Hist = &HistValue{
+			Bounds: append([]float64(nil), sv.Hist.Bounds...),
+			Counts: append([]int64(nil), sv.Hist.Counts...),
+			Sum:    sv.Hist.Sum,
+		}
+	}
+	return sv
+}
+
+// Family is one metric family: "counter", "gauge", or "histogram".
 type Family struct {
-	Name   string
-	Help   string
-	Kind   string // "counter", "gauge", or "histogram"
-	Series map[string]*SeriesValue
+	Help   string        `json:"help"`
+	Kind   string        `json:"kind"`
+	Series []SeriesValue `json:"series"`
 }
 
-// Snapshot is a parsed exposition: a point-in-time, mergeable view of one
-// registry (or of a whole fleet after federation).
+// Snapshot is a point-in-time, mergeable view of one registry (or of a
+// whole fleet after federation), keyed by family name. It is also the
+// heartbeat's metrics payload, encoded as JSON.
 type Snapshot struct {
-	Families map[string]*Family
+	Families map[string]*Family `json:"families"`
 }
 
 // NewSnapshot builds an empty snapshot.
 func NewSnapshot() *Snapshot { return &Snapshot{Families: make(map[string]*Family)} }
 
-// histBuild accumulates one histogram series during parsing (cumulative
-// buckets in exposition order; converted to per-bucket counts at the end).
-type histBuild struct {
-	bounds   []string
-	cum      []int64
-	infSeen  bool
-	infCum   int64
-	sum      float64
-	sumSeen  bool
-	count    int64
-	seenCnt  bool
-	labelStr string
-}
+var (
+	metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelNameRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+)
 
-// ParseExposition parses a Prometheus text exposition produced by
-// Registry.WritePrometheus (HELP and TYPE comments, counter/gauge samples,
-// histogram _bucket/_sum/_count expansions) into a Snapshot.
-func ParseExposition(r io.Reader) (*Snapshot, error) {
-	snap := NewSnapshot()
-	hists := make(map[string]map[string]*histBuild) // family -> base labels -> build
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
+// Validate checks a snapshot decoded from a peer before it is merged or
+// rendered: valid family and label names, a known kind, no duplicate series
+// or label keys, histogram series exactly in histogram families, and
+// well-formed histograms (one count per bucket plus +Inf, strictly
+// ascending finite bounds, non-negative counts).
+func (s *Snapshot) Validate() error {
+	for name, f := range s.Families {
+		if !metricNameRe.MatchString(name) {
+			return fmt.Errorf("obs: invalid family name %q", name)
 		}
-		if strings.HasPrefix(line, "# HELP ") {
-			rest := line[len("# HELP "):]
-			name, help, _ := strings.Cut(rest, " ")
-			if name == "" {
-				return nil, fmt.Errorf("obs: line %d: HELP without name", lineNo)
-			}
-			if _, ok := snap.Families[name]; !ok {
-				snap.Families[name] = &Family{Name: name, Series: make(map[string]*SeriesValue)}
-			}
-			snap.Families[name].Help = unescapeHelp(help)
-			continue
+		if f == nil {
+			return fmt.Errorf("obs: family %s is null", name)
 		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			rest := line[len("# TYPE "):]
-			name, kind, ok := strings.Cut(rest, " ")
-			if !ok || name == "" {
-				return nil, fmt.Errorf("obs: line %d: malformed TYPE", lineNo)
-			}
-			f, okf := snap.Families[name]
-			if !okf {
-				f = &Family{Name: name, Series: make(map[string]*SeriesValue)}
-				snap.Families[name] = f
-			}
-			switch kind {
-			case "counter", "gauge", "histogram":
-				f.Kind = kind
-			default:
-				return nil, fmt.Errorf("obs: line %d: unknown TYPE %q", lineNo, kind)
-			}
-			if kind == "histogram" {
-				hists[name] = make(map[string]*histBuild)
-			}
-			continue
+		switch f.Kind {
+		case "counter", "gauge", "histogram":
+		default:
+			return fmt.Errorf("obs: family %s has unknown kind %q", name, f.Kind)
 		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		// Sample line: name{labels} value | name value
-		var name, labels, valueText string
-		if i := strings.IndexByte(line, '{'); i >= 0 {
-			j := strings.LastIndexByte(line, '}')
-			if j < i {
-				return nil, fmt.Errorf("obs: line %d: unbalanced braces", lineNo)
+		seen := make(map[string]bool, len(f.Series))
+		for _, sv := range f.Series {
+			key := renderLabels(sv.Labels)
+			if seen[key] {
+				return fmt.Errorf("obs: duplicate series %s%s", name, key)
 			}
-			name = line[:i]
-			labels = line[i : j+1]
-			valueText = strings.TrimSpace(line[j+1:])
-		} else {
-			var ok bool
-			name, valueText, ok = strings.Cut(line, " ")
-			if !ok {
-				return nil, fmt.Errorf("obs: line %d: malformed sample", lineNo)
-			}
-		}
-		v, err := strconv.ParseFloat(valueText, 64)
-		if err != nil {
-			return nil, fmt.Errorf("obs: line %d: bad value %q: %v", lineNo, valueText, err)
-		}
-		// Histogram expansion suffixes attach to the base family.
-		if base, suffix, ok := histSuffix(name, hists); ok {
-			byLbl := hists[base]
-			switch suffix {
-			case "_bucket":
-				ls, err := ParseLabels(labels)
-				if err != nil {
-					return nil, fmt.Errorf("obs: line %d: %v", lineNo, err)
+			seen[key] = true
+			keys := make(map[string]bool, len(sv.Labels))
+			for _, l := range sv.Labels {
+				if !labelNameRe.MatchString(l.Key) || keys[l.Key] {
+					return fmt.Errorf("obs: series %s%s: invalid or repeated label %q", name, key, l.Key)
 				}
-				le := ""
-				baseLs := ls[:0]
-				for _, l := range ls {
-					if l.Key == "le" {
-						le = l.Value
-						continue
+				keys[l.Key] = true
+			}
+			if (f.Kind == "histogram") != (sv.Hist != nil) {
+				return fmt.Errorf("obs: series %s%s: histogram vs scalar in a %s family", name, key, f.Kind)
+			}
+			if h := sv.Hist; h != nil {
+				if len(h.Counts) != len(h.Bounds)+1 {
+					return fmt.Errorf("obs: histogram %s%s: %d counts for %d bounds", name, key, len(h.Counts), len(h.Bounds))
+				}
+				for i, b := range h.Bounds {
+					if math.IsNaN(b) || math.IsInf(b, 0) || (i > 0 && b <= h.Bounds[i-1]) {
+						return fmt.Errorf("obs: histogram %s%s: bounds not strictly ascending and finite", name, key)
 					}
-					baseLs = append(baseLs, l)
 				}
-				if le == "" {
-					return nil, fmt.Errorf("obs: line %d: bucket without le", lineNo)
+				for _, c := range h.Counts {
+					if c < 0 {
+						return fmt.Errorf("obs: histogram %s%s: negative bucket count", name, key)
+					}
 				}
-				key := renderLabels(baseLs)
-				hb := byLbl[key]
-				if hb == nil {
-					hb = &histBuild{labelStr: key}
-					byLbl[key] = hb
-				}
-				if le == "+Inf" {
-					hb.infSeen = true
-					hb.infCum = int64(v)
-				} else {
-					hb.bounds = append(hb.bounds, le)
-					hb.cum = append(hb.cum, int64(v))
-				}
-			case "_sum", "_count":
-				key := labels
-				hb := byLbl[key]
-				if hb == nil {
-					hb = &histBuild{labelStr: key}
-					byLbl[key] = hb
-				}
-				if suffix == "_sum" {
-					hb.sum = v
-					hb.sumSeen = true
-				} else {
-					hb.count = int64(v)
-					hb.seenCnt = true
-				}
-			}
-			continue
-		}
-		f, ok := snap.Families[name]
-		if !ok {
-			return nil, fmt.Errorf("obs: line %d: sample for undeclared family %s", lineNo, name)
-		}
-		if _, dup := f.Series[labels]; dup {
-			return nil, fmt.Errorf("obs: line %d: duplicate series %s%s", lineNo, name, labels)
-		}
-		f.Series[labels] = &SeriesValue{Labels: labels, Value: v, Raw: valueText}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	// Assemble parsed histograms: cumulative -> per-bucket.
-	for famName, byLbl := range hists {
-		f := snap.Families[famName]
-		for key, hb := range byLbl {
-			if !hb.infSeen || !hb.sumSeen || !hb.seenCnt {
-				return nil, fmt.Errorf("obs: histogram %s%s missing _bucket/_sum/_count", famName, key)
-			}
-			counts := make([]int64, len(hb.bounds)+1)
-			var prev int64
-			for i, c := range hb.cum {
-				if c < prev {
-					return nil, fmt.Errorf("obs: histogram %s%s non-cumulative buckets", famName, key)
-				}
-				counts[i] = c - prev
-				prev = c
-			}
-			counts[len(hb.bounds)] = hb.infCum - prev
-			f.Series[key] = &SeriesValue{Labels: key, Hist: &HistValue{
-				Bounds: hb.bounds, Counts: counts, Sum: hb.sum,
-			}}
-		}
-	}
-	return snap, nil
-}
-
-// histSuffix reports whether name is a histogram expansion sample
-// (base family declared as histogram + _bucket/_sum/_count suffix).
-func histSuffix(name string, hists map[string]map[string]*histBuild) (base, suffix string, ok bool) {
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		if strings.HasSuffix(name, suf) {
-			b := strings.TrimSuffix(name, suf)
-			if _, declared := hists[b]; declared {
-				return b, suf, true
 			}
 		}
 	}
-	return "", "", false
-}
-
-// ParseLabels parses a rendered label string ({k="v",...} or "") back into
-// labels, undoing exposition escaping.
-func ParseLabels(s string) ([]Label, error) {
-	if s == "" {
-		return nil, nil
-	}
-	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
-		return nil, fmt.Errorf("malformed label string %q", s)
-	}
-	var out []Label
-	i := 1
-	for i < len(s)-1 {
-		j := strings.IndexByte(s[i:], '=')
-		if j < 0 {
-			return nil, fmt.Errorf("malformed label string %q", s)
-		}
-		key := s[i : i+j]
-		i += j + 1
-		if i >= len(s) || s[i] != '"' {
-			return nil, fmt.Errorf("malformed label string %q", s)
-		}
-		i++
-		var b strings.Builder
-		for i < len(s) {
-			c := s[i]
-			if c == '\\' && i+1 < len(s) {
-				switch s[i+1] {
-				case '\\':
-					b.WriteByte('\\')
-				case 'n':
-					b.WriteByte('\n')
-				case '"':
-					b.WriteByte('"')
-				default:
-					b.WriteByte(c)
-					b.WriteByte(s[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				break
-			}
-			b.WriteByte(c)
-			i++
-		}
-		if i >= len(s) || s[i] != '"' {
-			return nil, fmt.Errorf("unterminated label value in %q", s)
-		}
-		i++
-		out = append(out, Label{Key: key, Value: b.String()})
-		if i < len(s)-1 {
-			if s[i] != ',' {
-				return nil, fmt.Errorf("malformed label string %q", s)
-			}
-			i++
-		}
-	}
-	return out, nil
-}
-
-func unescapeHelp(h string) string {
-	r := strings.NewReplacer(`\n`, "\n", `\\`, `\`)
-	return r.Replace(h)
+	return nil
 }
 
 // FleetFamilyName maps a worker-local family name into the fleet namespace:
@@ -322,36 +157,22 @@ func FleetFamilyName(name string) string {
 }
 
 // Relabel returns a copy of the snapshot with every family renamed via
-// FleetFamilyName and every series tagged with a worker label.
+// FleetFamilyName and every series tagged with a worker label. Families
+// whose fleet names coincide merge as Add does.
 func (s *Snapshot) Relabel(worker string) (*Snapshot, error) {
 	if s == nil {
 		return nil, nil
 	}
 	out := NewSnapshot()
-	for _, f := range s.Families {
-		name := FleetFamilyName(f.Name)
-		nf, ok := out.Families[name]
-		if !ok {
-			nf = &Family{Name: name, Help: f.Help, Kind: f.Kind,
-				Series: make(map[string]*SeriesValue, len(f.Series))}
-			out.Families[name] = nf
+	for name, f := range s.Families {
+		nf := &Family{Help: f.Help, Kind: f.Kind, Series: make([]SeriesValue, len(f.Series))}
+		for i, sv := range f.Series {
+			nf.Series[i] = sv.clone()
+			nf.Series[i].Labels = append(nf.Series[i].Labels, Label{Key: "worker", Value: worker})
 		}
-		for _, sv := range f.Series {
-			ls, err := ParseLabels(sv.Labels)
-			if err != nil {
-				return nil, fmt.Errorf("obs: relabel %s: %v", f.Name, err)
-			}
-			ls = append(ls, Label{Key: "worker", Value: worker})
-			key := renderLabels(ls)
-			nsv := &SeriesValue{Labels: key, Value: sv.Value, Raw: sv.Raw}
-			if sv.Hist != nil {
-				nsv.Hist = &HistValue{
-					Bounds: append([]string(nil), sv.Hist.Bounds...),
-					Counts: append([]int64(nil), sv.Hist.Counts...),
-					Sum:    sv.Hist.Sum,
-				}
-			}
-			nf.Series[key] = nsv
+		one := &Snapshot{Families: map[string]*Family{FleetFamilyName(name): nf}}
+		if err := out.Add(one); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -359,8 +180,8 @@ func (s *Snapshot) Relabel(worker string) (*Snapshot, error) {
 
 // Add merges src into s: counters and gauges sum, histograms add
 // bucket-wise (bounds must agree), and series or families absent from s are
-// deep-copied in. Merged series lose their Raw passthrough and re-render
-// via formatFloat.
+// deep-copied in. A summed scalar becomes a float and renders via
+// formatFloat.
 func (s *Snapshot) Add(src *Snapshot) error {
 	if s == nil || src == nil {
 		return nil
@@ -368,32 +189,30 @@ func (s *Snapshot) Add(src *Snapshot) error {
 	for name, sf := range src.Families {
 		f, ok := s.Families[name]
 		if !ok {
-			f = &Family{Name: name, Help: sf.Help, Kind: sf.Kind,
-				Series: make(map[string]*SeriesValue, len(sf.Series))}
+			f = &Family{Help: sf.Help, Kind: sf.Kind}
 			s.Families[name] = f
 		} else if f.Kind != sf.Kind {
 			return fmt.Errorf("obs: federate %s: kind %s vs %s", name, f.Kind, sf.Kind)
 		}
-		for key, sv := range sf.Series {
-			cur, ok := f.Series[key]
+		index := make(map[string]int, len(f.Series))
+		for i := range f.Series {
+			index[renderLabels(f.Series[i].Labels)] = i
+		}
+		for _, sv := range sf.Series {
+			key := renderLabels(sv.Labels)
+			i, ok := index[key]
 			if !ok {
-				cp := &SeriesValue{Labels: sv.Labels, Value: sv.Value, Raw: sv.Raw}
-				if sv.Hist != nil {
-					cp.Hist = &HistValue{
-						Bounds: append([]string(nil), sv.Hist.Bounds...),
-						Counts: append([]int64(nil), sv.Hist.Counts...),
-						Sum:    sv.Hist.Sum,
-					}
-				}
-				f.Series[key] = cp
+				index[key] = len(f.Series)
+				f.Series = append(f.Series, sv.clone())
 				continue
 			}
+			cur := &f.Series[i]
 			if (cur.Hist == nil) != (sv.Hist == nil) {
 				return fmt.Errorf("obs: federate %s%s: histogram vs scalar", name, key)
 			}
 			if cur.Hist == nil {
-				cur.Value += sv.Value
-				cur.Raw = ""
+				cur.Float = cur.value() + sv.value()
+				cur.Int = nil
 				continue
 			}
 			if len(cur.Hist.Bounds) != len(sv.Hist.Bounds) {
@@ -445,16 +264,18 @@ func (s *Snapshot) Value(name, labels string) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	sv, ok := f.Series[labels]
-	if !ok || sv.Hist != nil {
-		return 0, false
+	for i := range f.Series {
+		if sv := &f.Series[i]; sv.Hist == nil && renderLabels(sv.Labels) == labels {
+			return sv.value(), true
+		}
 	}
-	return sv.Value, true
+	return 0, false
 }
 
-// WritePrometheus renders the snapshot with the same conventions as
-// Registry.WritePrometheus: families in name order, series in label-string
-// order, histograms as cumulative buckets with le merged into the labels.
+// WritePrometheus renders the snapshot as Prometheus text exposition:
+// families in name order, each with one # HELP and # TYPE line, series in
+// rendered-label order, histograms expanded into cumulative _bucket series
+// (le merged into the labels) plus _sum and _count.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	if s == nil {
 		return nil
@@ -468,39 +289,46 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	for _, name := range names {
 		f := s.Families[name]
 		help := strings.NewReplacer("\\", `\\`, "\n", `\n`).Replace(f.Help)
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.Name, help)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.Name, f.Kind)
-		keys := make([]string, 0, len(f.Series))
-		for key := range f.Series {
-			keys = append(keys, key)
+		fmt.Fprintf(bw, "# HELP %s %s\n", name, help)
+		fmt.Fprintf(bw, "# TYPE %s %s\n", name, f.Kind)
+		keys := make([]string, len(f.Series))
+		order := make([]int, len(f.Series))
+		for i := range f.Series {
+			keys[i] = renderLabels(f.Series[i].Labels)
+			order[i] = i
 		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			sv := f.Series[key]
-			if sv.Hist == nil {
-				if sv.Raw != "" {
-					fmt.Fprintf(bw, "%s%s %s\n", f.Name, sv.Labels, sv.Raw)
-				} else {
-					fmt.Fprintf(bw, "%s%s %s\n", f.Name, sv.Labels, formatFloat(sv.Value))
-				}
-				continue
+		sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+		for _, i := range order {
+			sv, labels := &f.Series[i], keys[i]
+			switch {
+			case sv.Hist != nil:
+				writeHistogram(bw, name, labels, sv.Hist)
+			case sv.Int != nil:
+				fmt.Fprintf(bw, "%s%s %d\n", name, labels, *sv.Int)
+			default:
+				fmt.Fprintf(bw, "%s%s %s\n", name, labels, formatFloat(sv.Float))
 			}
-			merge := func(le string) string {
-				if sv.Labels == "" {
-					return `{le="` + le + `"}`
-				}
-				return sv.Labels[:len(sv.Labels)-1] + `,le="` + le + `"}`
-			}
-			var cum int64
-			for i, bound := range sv.Hist.Bounds {
-				cum += sv.Hist.Counts[i]
-				fmt.Fprintf(bw, "%s_bucket%s %d\n", f.Name, merge(bound), cum)
-			}
-			cum += sv.Hist.Counts[len(sv.Hist.Bounds)]
-			fmt.Fprintf(bw, "%s_bucket%s %d\n", f.Name, merge("+Inf"), cum)
-			fmt.Fprintf(bw, "%s_sum%s %s\n", f.Name, sv.Labels, formatFloat(sv.Hist.Sum))
-			fmt.Fprintf(bw, "%s_count%s %d\n", f.Name, sv.Labels, cum)
 		}
 	}
 	return bw.Flush()
+}
+
+// writeHistogram renders one histogram series: cumulative buckets with the
+// le label merged into any existing labels, then _sum and _count.
+func writeHistogram(w io.Writer, name, labels string, h *HistValue) {
+	merge := func(le string) string {
+		if labels == "" {
+			return `{le="` + le + `"}`
+		}
+		return labels[:len(labels)-1] + `,le="` + le + `"}`
+	}
+	var cum int64
+	for i, bound := range h.Bounds {
+		cum += h.Counts[i]
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, merge(formatFloat(bound)), cum)
+	}
+	cum += h.Counts[len(h.Bounds)]
+	fmt.Fprintf(w, "%s_bucket%s %d\n", name, merge("+Inf"), cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(h.Sum))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, cum)
 }

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -37,59 +39,124 @@ func render(reg *Registry) string {
 	return buf.String()
 }
 
-// TestParseExpositionRoundTrip proves parse→render is a byte-level identity
-// for a representative registry, which is what makes single-worker
-// federation lossless.
-func TestParseExpositionRoundTrip(t *testing.T) {
-	text := render(workerRegistry(3))
-	snap, err := ParseExposition(strings.NewReader(text))
+// jsonRoundTrip carries reg's snapshot the way a worker heartbeat does —
+// encoded to JSON, decoded and validated on the coordinator — and returns
+// the received snapshot's rendered exposition.
+func jsonRoundTrip(t *testing.T, reg *Registry) string {
+	t.Helper()
+	js, err := json.Marshal(reg.Snapshot())
 	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(js, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
 	if err := snap.WritePrometheus(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.String() != text {
-		t.Fatalf("round trip differs:\n--- original ---\n%s\n--- round trip ---\n%s", text, out.String())
+	return out.String()
+}
+
+// TestParseExpositionRoundTrip proves the heartbeat transport is a
+// byte-level identity for a representative worker registry, which is what
+// makes single-worker federation lossless. (The name predates the typed
+// transport, when the coordinator parsed exposition text back; the
+// received snapshot is now decoded from JSON instead.)
+func TestParseExpositionRoundTrip(t *testing.T) {
+	reg := workerRegistry(3)
+	text := render(reg)
+	if got := jsonRoundTrip(t, reg); got != text {
+		t.Fatalf("round trip differs:\n--- original ---\n%s\n--- round trip ---\n%s", text, got)
 	}
 }
 
-// TestParseExpositionRawPassthrough proves unmerged series render their
-// original value text even when Go's float formatting would differ (%d
-// counters at 1e6 render "1000000", formatFloat would say "1e+06").
+// TestParseExpositionRawPassthrough proves values keep their spelling across
+// the heartbeat transport even where Go's float formatting would differ: a
+// Counter at 1e6 renders "1000000" (%d), while a CounterFunc renders
+// formatFloat's "2e+06". (The name predates the typed transport, when a
+// per-series raw-text passthrough provided this guarantee.)
 func TestParseExpositionRawPassthrough(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("xtalkd_big_total", "Big.").Add(1000000)
+	reg.CounterFunc("xtalkd_big_func_total", "Big func.", func() float64 { return 2e6 })
 	text := render(reg)
-	snap, err := ParseExposition(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
+	got := jsonRoundTrip(t, reg)
+	for _, want := range []string{"xtalkd_big_total 1000000\n", "xtalkd_big_func_total 2e+06\n"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("round trip lacks %q:\n%s", want, got)
+		}
 	}
-	var out bytes.Buffer
-	snap.WritePrometheus(&out)
-	if !strings.Contains(out.String(), "xtalkd_big_total 1000000\n") {
-		t.Fatalf("large counter not passed through verbatim:\n%s", out.String())
+	if got != text {
+		t.Fatalf("round trip differs:\n--- original ---\n%s\n--- round trip ---\n%s", text, got)
 	}
 }
 
-func TestParseLabelsEscapes(t *testing.T) {
-	in := []Label{{"a", `q"u\o`}, {"b", "x\ny"}}
-	rendered := renderLabels(in)
-	got, err := ParseLabels(rendered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(in) {
-		t.Fatalf("ParseLabels(%q) = %v", rendered, got)
-	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("label %d = %+v, want %+v", i, got[i], in[i])
+// TestSnapshotJSONRoundTrip proves the heartbeat transport is lossless for
+// everything a registry can hold at once: scalars past 1e6 in both
+// spellings, a func-backed gauge, and label values and help text that need
+// escaping.
+func TestSnapshotJSONRoundTrip(t *testing.T) {
+	reg := workerRegistry(3)
+	reg.Counter("xtalkd_big_total", "Big.").Add(1000000)
+	reg.CounterFunc("xtalkd_big_func_total", "Big func.", func() float64 { return 2e6 })
+	reg.GaugeFunc("xtalkd_ratio", "Ratio.", func() float64 { return 0.1 })
+	reg.Gauge("xtalkd_escaped", "Escaping \\ and\nnewline.",
+		Label{"a", `q"u\o`}, Label{"b", "x\ny"}).Set(-3)
+	text := render(reg)
+	for _, want := range []string{"xtalkd_big_total 1000000\n", "xtalkd_big_func_total 2e+06\n"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("registry exposition lacks %q:\n%s", want, text)
 		}
 	}
-	if _, err := ParseLabels(`{broken`); err == nil {
-		t.Fatal("malformed label string parsed without error")
+	if got := jsonRoundTrip(t, reg); got != text {
+		t.Fatalf("round trip differs:\n--- original ---\n%s\n--- round trip ---\n%s", text, got)
+	}
+}
+
+// TestSnapshotValidateRejects feeds Validate one malformed snapshot per
+// rule a peer's heartbeat payload must satisfy.
+func TestSnapshotValidateRejects(t *testing.T) {
+	one := int64(1)
+	scalar := func(labels ...Label) SeriesValue { return SeriesValue{Labels: labels, Int: &one} }
+	hist := func(bounds []float64, counts ...int64) SeriesValue {
+		return SeriesValue{Hist: &HistValue{Bounds: bounds, Counts: counts}}
+	}
+	cases := map[string]*Family{
+		"unknown kind":        {Kind: "summary", Series: []SeriesValue{scalar()}},
+		"counts vs bounds":    {Kind: "histogram", Series: []SeriesValue{hist([]float64{1, 2}, 0, 0)}},
+		"descending bounds":   {Kind: "histogram", Series: []SeriesValue{hist([]float64{2, 1}, 0, 0, 0)}},
+		"repeated bound":      {Kind: "histogram", Series: []SeriesValue{hist([]float64{1, 1}, 0, 0, 0)}},
+		"infinite bound":      {Kind: "histogram", Series: []SeriesValue{hist([]float64{1, math.Inf(1)}, 0, 0, 0)}},
+		"NaN bound":           {Kind: "histogram", Series: []SeriesValue{hist([]float64{math.NaN()}, 0, 0)}},
+		"negative count":      {Kind: "histogram", Series: []SeriesValue{hist([]float64{1}, 3, -1)}},
+		"scalar in histogram": {Kind: "histogram", Series: []SeriesValue{scalar()}},
+		"histogram in gauge":  {Kind: "gauge", Series: []SeriesValue{hist([]float64{1}, 0, 0)}},
+		"duplicate series":    {Kind: "counter", Series: []SeriesValue{scalar(Label{"a", "1"}), scalar(Label{"a", "1"})}},
+		"repeated label":      {Kind: "counter", Series: []SeriesValue{scalar(Label{"a", "1"}, Label{"a", "2"})}},
+		"bad label name":      {Kind: "counter", Series: []SeriesValue{scalar(Label{"a b", "1"})}},
+		"null family":         nil,
+	}
+	for name, f := range cases {
+		snap := &Snapshot{Families: map[string]*Family{"xtalkd_thing": f}}
+		if err := snap.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, f)
+		}
+	}
+	bad := &Snapshot{Families: map[string]*Family{"bad name\n": {Kind: "counter", Series: []SeriesValue{scalar()}}}}
+	if err := bad.Validate(); err == nil {
+		t.Error("Validate accepted an invalid family name")
+	}
+	good := &Snapshot{Families: map[string]*Family{
+		"xtalkd_thing_total": {Kind: "counter", Series: []SeriesValue{scalar(Label{"a", "1"}), scalar()}},
+		"xtalkd_seconds":     {Kind: "histogram", Series: []SeriesValue{hist([]float64{0.5, 1}, 1, 0, 2)}},
+	}}
+	if err := good.Validate(); err != nil {
+		t.Errorf("Validate rejected a well-formed snapshot: %v", err)
 	}
 }
 
@@ -103,15 +170,6 @@ func TestFleetFamilyName(t *testing.T) {
 			t.Errorf("FleetFamilyName(%q) = %q, want %q", in, got, want)
 		}
 	}
-}
-
-func snapshotOf(t *testing.T, reg *Registry) *Snapshot {
-	t.Helper()
-	snap, err := ParseExposition(strings.NewReader(render(reg)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
 }
 
 // TestFederateByteStable proves the tentpole's determinism claim: the
@@ -134,7 +192,7 @@ func TestFederateByteStable(t *testing.T) {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		snaps := make(map[string]*Snapshot, len(order))
 		for _, u := range order {
-			snaps[u] = snapshotOf(t, regs[u])
+			snaps[u] = regs[u].Snapshot()
 		}
 		fed, err := Federate(snaps)
 		if err != nil {
@@ -183,7 +241,7 @@ func TestFederateHistogramMerge(t *testing.T) {
 	}
 	a, b := mk(11), mk(22)
 
-	fedAB, err := Federate(map[string]*Snapshot{"a": snapshotOf(t, a), "b": snapshotOf(t, b)})
+	fedAB, err := Federate(map[string]*Snapshot{"a": a.Snapshot(), "b": b.Snapshot()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +254,7 @@ func TestFederateHistogramMerge(t *testing.T) {
 		}
 		for _, sv := range fam.Series {
 			if sv.Hist == nil {
-				t.Fatalf("series %s is not a histogram", sv.Labels)
+				t.Fatalf("series %v is not a histogram", sv.Labels)
 			}
 			if counts == nil {
 				counts = make([]int64, len(sv.Hist.Counts))
@@ -211,7 +269,7 @@ func TestFederateHistogramMerge(t *testing.T) {
 	gotCounts, gotSum := sum(fedAB)
 
 	// Commutativity: scraping b before a merges to the same totals.
-	fedBA, err := Federate(map[string]*Snapshot{"b": snapshotOf(t, b), "a": snapshotOf(t, a)})
+	fedBA, err := Federate(map[string]*Snapshot{"b": b.Snapshot(), "a": a.Snapshot()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +284,12 @@ func TestFederateHistogramMerge(t *testing.T) {
 	}
 
 	// Equality with the single registry that saw every observation.
-	usnap := snapshotOf(t, union)
-	usv := usnap.Families["xtalkd_job_seconds"].Series[""]
-	if usv == nil || usv.Hist == nil {
+	usnap := union.Snapshot()
+	useries := usnap.Families["xtalkd_job_seconds"].Series
+	if len(useries) != 1 || useries[0].Hist == nil {
 		t.Fatal("union registry has no histogram series")
 	}
+	usv := useries[0]
 	var unionTotal int64
 	for i, c := range usv.Hist.Counts {
 		if gotCounts[i] != c {
@@ -254,7 +313,7 @@ func TestFederateScalarSum(t *testing.T) {
 	mk := func(v int64) *Snapshot {
 		reg := NewRegistry()
 		reg.Counter("xtalkd_defects_simulated_total", "Defect runs simulated.").Add(v)
-		return snapshotOf(t, reg)
+		return reg.Snapshot()
 	}
 	a, _ := mk(7).Relabel("w")
 	b, _ := mk(5).Relabel("w")
@@ -274,8 +333,8 @@ func TestFederateKindConflict(t *testing.T) {
 	cr.Counter("xtalkd_thing_total", "Thing.")
 	gr := NewRegistry()
 	gr.Gauge("xtalkd_thing_total", "Thing.")
-	a := snapshotOf(t, cr)
-	if err := a.Add(snapshotOf(t, gr)); err == nil {
+	a := cr.Snapshot()
+	if err := a.Add(gr.Snapshot()); err == nil {
 		t.Fatal("kind conflict merged without error")
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -49,7 +48,8 @@ func (k metricKind) String() string {
 
 // series is one sample stream within a family (a distinct label set).
 type series struct {
-	labels string // rendered {k="v",...} or ""
+	key    string  // rendered {k="v",...} or ""
+	labels []Label // sorted by key
 	c      *Counter
 	g      *Gauge
 	fn     func() float64
@@ -102,7 +102,9 @@ func escapeLabelValue(v string) string {
 // kind, labels) triple and panics on a kind conflict — metric names are
 // static program text, so a conflict is a programming error, not input.
 func (r *Registry) register(name, help string, kind metricKind, labels []Label) *series {
-	lbl := renderLabels(labels)
+	ls := append([]Label(nil), labels...)
+	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	lbl := renderLabels(ls)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -115,10 +117,10 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 	}
 	s, ok := f.byLbl[lbl]
 	if !ok {
-		s = &series{labels: lbl}
+		s = &series{key: lbl, labels: ls}
 		f.byLbl[lbl] = s
 		f.series = append(f.series, s)
-		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].key < f.series[j].key })
 	}
 	return s
 }
@@ -277,61 +279,54 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 
 // WritePrometheus renders every family in name order as Prometheus text
 // exposition: one # HELP and # TYPE line per family followed by its sample
-// lines, histograms expanded into cumulative _bucket/_sum/_count series.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	// Snapshot under the lock (including each family's series slice, which
-	// registration may still be appending to) so scrapes never race setup.
+// lines, histograms expanded into cumulative _bucket/_sum/_count series. It
+// is Snapshot().WritePrometheus, so a registry and a federated fleet share
+// one renderer.
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.Snapshot().WritePrometheus(w) }
+
+// Snapshot reads every series into a mergeable Snapshot: Counter and Gauge
+// values as integers, func-backed values as floats, histograms as
+// per-bucket counts. Label and bucket-bound slices are shared with the
+// registry, so holders must not modify them (merges copy before changing).
+func (r *Registry) Snapshot() *Snapshot {
+	// Copy the family table under the lock (including each family's series
+	// slice, which registration may still be appending to) so scrapes never
+	// race setup; values are read outside it, since func-backed series may
+	// take their owners' locks.
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]family, len(names))
-	for i, name := range names {
-		f := r.families[name]
-		fams[i] = family{name: f.name, help: f.help, kind: f.kind,
-			series: append([]*series(nil), f.series...)}
+	fams := make([]family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, family{name: f.name, help: f.help, kind: f.kind,
+			series: append([]*series(nil), f.series...)})
 	}
 	r.mu.Unlock()
 
-	bw := bufio.NewWriter(w)
+	snap := NewSnapshot()
 	for _, f := range fams {
-		help := strings.NewReplacer("\\", `\\`, "\n", `\n`).Replace(f.help)
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, help)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
+		fam := &Family{Help: f.help, Kind: f.kind.String()}
 		for _, s := range f.series {
+			sv := SeriesValue{Labels: s.labels}
 			switch {
 			case s.h != nil:
-				writeHistogram(bw, f.name, s.labels, s.h)
+				hv := &HistValue{Bounds: s.h.bounds, Counts: make([]int64, len(s.h.counts)), Sum: s.h.Sum()}
+				for i := range s.h.counts {
+					hv.Counts[i] = s.h.counts[i].Load()
+				}
+				sv.Hist = hv
 			case s.fn != nil:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, s.labels, formatFloat(s.fn()))
+				sv.Float = s.fn()
 			case s.c != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.c.Value())
+				v := s.c.Value()
+				sv.Int = &v
 			case s.g != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.g.Value())
+				v := s.g.Value()
+				sv.Int = &v
+			default:
+				continue
 			}
+			fam.Series = append(fam.Series, sv)
 		}
+		snap.Families[f.name] = fam
 	}
-	return bw.Flush()
-}
-
-// writeHistogram renders one histogram series: cumulative buckets with the
-// le label merged into any existing labels, then _sum and _count.
-func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
-	merge := func(le string) string {
-		if labels == "" {
-			return `{le="` + le + `"}`
-		}
-		return labels[:len(labels)-1] + `,le="` + le + `"}`
-	}
-	var cum int64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, merge(formatFloat(bound)), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, merge("+Inf"), cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, cum)
+	return snap
 }

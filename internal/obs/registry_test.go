@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -9,7 +11,9 @@ import (
 	"time"
 )
 
-func TestRegistryExposition(t *testing.T) {
+// expositionFixture is a registry with one series of every kind: counter,
+// gauge, func gauge, and a labeled duration histogram.
+func expositionFixture() *Registry {
 	r := NewRegistry()
 	c := r.Counter("test_jobs_total", "jobs processed")
 	c.Add(3)
@@ -19,7 +23,22 @@ func TestRegistryExposition(t *testing.T) {
 	h := r.Histogram("test_latency_seconds", "op latency", nil, Label{"tier", "replay"})
 	h.Observe(2e-6)
 	h.Observe(0.5)
+	return r
+}
 
+// histogramFixture is a registry holding one histogram with custom bounds
+// and an observation in every bucket, +Inf included.
+func histogramFixture() *Registry {
+	r := NewRegistry()
+	h := r.Histogram("hist_seconds", "x", []float64{0.01, 0.1, 1})
+	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
+		h.Observe(v)
+	}
+	return r
+}
+
+func TestRegistryExposition(t *testing.T) {
+	r := expositionFixture()
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -61,11 +80,8 @@ func TestRegistryIdempotentAndKindConflict(t *testing.T) {
 }
 
 func TestHistogramBucketsAndSum(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("hist_seconds", "x", []float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
-		h.Observe(v)
-	}
+	r := histogramFixture()
+	h := r.Histogram("hist_seconds", "x", nil)
 	if h.Count() != 4 {
 		t.Fatalf("count = %d, want 4", h.Count())
 	}
@@ -108,6 +124,51 @@ func TestDurationBucketsShape(t *testing.T) {
 	}
 	if b[len(b)-1] < 10 {
 		t.Fatalf("largest bucket %g does not cover multi-second campaigns", b[len(b)-1])
+	}
+}
+
+// TestRegistryExpositionPinned pins the exposition bytes of the registry
+// fixtures (and of their federation) to the hashes the text renderer
+// produced before registries and federated snapshots shared one renderer:
+// %d for Counter and Gauge values, formatFloat for func values, sums and
+// bounds, cumulative buckets with le appended to the sorted labels.
+func TestRegistryExpositionPinned(t *testing.T) {
+	hash := func(reg *Registry) string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+	}
+	for name, c := range map[string]struct {
+		reg  *Registry
+		want string
+	}{
+		"exposition": {expositionFixture(), "8dffc126d2636811bc8c93d122550bc875dd62e12f819b7f8905f7455faa576d"},
+		"histogram":  {histogramFixture(), "1e18e4da3aeca40ad17019ebaf8b2085cffadaff5526bc764a074ec9af1e4446"},
+		"worker1":    {workerRegistry(1), "de06ca6eaf4557e5cbddae78183f74345e586524dc5808440c9e46eeff3812b1"},
+		"worker2":    {workerRegistry(2), "28a7c2f1debf0c6c0e7061419325f375aaa49be7b2067e989e5e00dbfc202517"},
+		"worker3":    {workerRegistry(3), "b0320d34c2c38a160dc3c629bccd61212dae656d9fef2ecc9dfdc80ad408d04a"},
+	} {
+		if got := hash(c.reg); got != c.want {
+			t.Errorf("%s exposition hash %s, want %s", name, got, c.want)
+		}
+	}
+	snaps := make(map[string]*Snapshot, 3)
+	for i, u := range []string{"http://w3:1", "http://w1:1", "http://w2:1"} {
+		snaps[u] = workerRegistry(int64(i + 1)).Snapshot()
+	}
+	fed, err := Federate(snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fed.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "5d29e39fbbdbe8c92fc2ea4eaf7d8d6d688f3486f1f5d292c09218877e3f2510"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("federated exposition hash %s, want %s", got, want)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestBatchEngineMixedLibrary(t *testing.T) {
 	}
 
 	st := r.Stats()
-	if st.Executes != 0 || st.DegradedExecutes != 0 || st.Screened != 0 {
+	if st.Executes != 0 || st.DegradedExecutes != 0 {
 		t.Errorf("batch campaign leaked into other tiers: %+v", st)
 	}
 	if st.BatchScreened == 0 {
@@ -96,8 +96,10 @@ func TestBatchEngineMixedLibrary(t *testing.T) {
 }
 
 // TestBatchSingleDefectBehavesAsAuto pins the degenerate case: a
-// single-defect run has no library to batch over, so RunDefectEngine treats
-// Batch as Auto — same outcome, same counter attribution.
+// single-defect run is the batched engine over a library of one, and the
+// "auto" and "batch" spellings both select it — same outcome as each other
+// and as the Execute oracle, with every run settled by the sweep or the
+// resumed-execution fallback and none by the Execute tier.
 func TestBatchSingleDefectBehavesAsAuto(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -107,37 +109,63 @@ func TestBatchSingleDefectBehavesAsAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auto, err := ParseEngine("auto")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := ParseEngine("batch")
+	if err != nil {
+		t.Fatal(err)
+	}
 	lib := mixedLibrary(t, data, 43)
+	ref, err := NewRunner(plan, addr, data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := NewRunner(plan, addr, data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cleared := int64(0)
 	for i, d := range lib.Defects {
-		auto, err := r.RunDefectEngine(core.DataBus, d.Params, Auto)
+		exec, err := ref.RunDefectEngine(core.DataBus, d.Params, Execute)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := r.RunDefectEngine(core.DataBus, d.Params, Batch)
+		a, err := r.RunDefectEngine(core.DataBus, d.Params, auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(comparableOf(batch), comparableOf(auto)) || batch.Replayed != auto.Replayed {
-			t.Errorf("defect %d: batch %+v != auto %+v", i, batch, auto)
+		b, err := r.RunDefectEngine(core.DataBus, d.Params, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(comparableOf(b), comparableOf(a)) || b.Replayed != a.Replayed {
+			t.Errorf("defect %d: batch %+v != auto %+v", i, b, a)
+		}
+		if !reflect.DeepEqual(comparableOf(b), comparableOf(exec)) {
+			t.Errorf("defect %d: batch %+v != execute %+v", i, comparableOf(b), comparableOf(exec))
+		}
+		if b.Replayed {
+			cleared += 2
 		}
 	}
 	st := r.Stats()
-	if st.BatchScreened != 0 || st.BatchSweeps != 0 {
-		t.Errorf("single-defect batch runs recorded sweep counters: %+v", st)
+	if st.Executes != 0 || st.DegradedExecutes != 0 {
+		t.Errorf("single-defect runs reached the Execute tier: %+v", st)
 	}
-	if st.ReplayHits+st.Fallbacks != 2*int64(len(lib.Defects)) {
-		t.Errorf("replayHits %d + fallbacks %d != %d runs", st.ReplayHits, st.Fallbacks, 2*len(lib.Defects))
+	if n := 2 * int64(len(lib.Defects)); st.ReplayHits+st.Fallbacks != n {
+		t.Errorf("replayHits %d + fallbacks %d != %d runs", st.ReplayHits, st.Fallbacks, n)
+	}
+	if st.BatchScreened != cleared {
+		t.Errorf("batchScreened %d != %d sweep-cleared runs", st.BatchScreened, cleared)
 	}
 }
 
 // TestDegradedExecuteAccounting is the accounting bugfix's pin: when the
-// replay precondition is void (golden traffic itself errs), Auto, Replay and
-// Batch all run as full Execute, but those runs must be counted under the
-// distinct DegradedExecutes — not blended into Executes — and a batched
+// sweep's precondition is void (golden traffic itself errs), Batch runs as
+// full Execute under every spelling, but those runs must be counted under
+// the distinct DegradedExecutes — not blended into Executes — and a batched
 // campaign must not sweep at all.
 func TestDegradedExecuteAccounting(t *testing.T) {
 	addr, data, err := DefaultSetups()
@@ -166,25 +194,29 @@ func TestDegradedExecuteAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range []Engine{Auto, Replay, Batch} {
+		for _, name := range []string{"auto", "batch"} {
+			eng, err := ParseEngine(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			got, err := r.RunDefectEngine(core.DataBus, d.Params, eng)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(comparableOf(got), comparableOf(want)) {
-				t.Errorf("defect %d engine %v: degraded run %+v != execute %+v", i, eng, got, want)
+				t.Errorf("defect %d engine %s: degraded run %+v != execute %+v", i, name, got, want)
 			}
 		}
 	}
 	st := r.Stats()
-	if want := 3 * int64(len(lib.Defects)); st.DegradedExecutes != want {
+	if want := 2 * int64(len(lib.Defects)); st.DegradedExecutes != want {
 		t.Errorf("degradedExecutes = %d, want %d", st.DegradedExecutes, want)
 	}
 	if st.Executes != 0 {
 		t.Errorf("degraded runs leaked into Executes (%d); they were not requested as Execute", st.Executes)
 	}
-	if st.ReplayHits != 0 || st.Fallbacks != 0 || st.Screened != 0 {
-		t.Errorf("degraded runner recorded replay-tier counters: %+v", st)
+	if st.ReplayHits != 0 || st.Fallbacks != 0 || st.BatchSweeps != 0 {
+		t.Errorf("degraded runner recorded sweep-tier counters: %+v", st)
 	}
 
 	// A whole batched campaign on a degraded runner: every defect degrades,
@@ -203,9 +235,8 @@ func TestDegradedExecuteAccounting(t *testing.T) {
 }
 
 // TestBusBoundsCheckedOnEveryEngine is the bounds-check bugfix's pin: an
-// out-of-range channel must fail identically on every engine — including
-// Execute and degraded runs, which historically skipped the replay-path
-// check — and on the batched campaign path.
+// out-of-range channel must fail identically on both engines — including
+// degraded runs — and on both campaign paths.
 func TestBusBoundsCheckedOnEveryEngine(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -223,13 +254,13 @@ func TestBusBoundsCheckedOnEveryEngine(t *testing.T) {
 		}
 		r.replayOK = !degraded
 		for _, bus := range []core.BusID{core.BusID(2), core.BusID(-1)} {
-			for _, eng := range []Engine{Auto, Execute, Replay, Batch} {
+			for _, eng := range []Engine{Batch, Execute} {
 				if _, err := r.RunDefectEngine(bus, lib.Defects[0].Params, eng); err == nil {
 					t.Errorf("degraded=%v engine %v: out-of-range bus %d accepted", degraded, eng, bus)
 				}
-			}
-			if _, err := r.CampaignCtx(context.Background(), bus, lib, CampaignOpts{Engine: Batch}); err == nil {
-				t.Errorf("degraded=%v: batched campaign accepted out-of-range bus %d", degraded, bus)
+				if _, err := r.CampaignCtx(context.Background(), bus, lib, CampaignOpts{Engine: eng}); err == nil {
+					t.Errorf("degraded=%v engine %v: campaign accepted out-of-range bus %d", degraded, eng, bus)
+				}
 			}
 		}
 		if st := r.Stats(); st != (EngineStats{}) {
@@ -238,11 +269,10 @@ func TestBusBoundsCheckedOnEveryEngine(t *testing.T) {
 	}
 }
 
-// TestOutcomeShapeAcrossEngines is the normalize bugfix's pin: every
-// engine's outcomes leave through the same canonicalization, so for the same
-// defect the report-visible fields must marshal to identical JSON wherever
-// the engine is exact, and DetectedBy must be sorted and deduplicated under
-// every engine (including Replay, which historically skipped normalize).
+// TestOutcomeShapeAcrossEngines is the normalize bugfix's pin: both
+// engines' outcomes leave through the same canonicalization, so for the same
+// defect the report-visible fields must marshal to identical JSON, and
+// DetectedBy must be sorted and deduplicated under both.
 func TestOutcomeShapeAcrossEngines(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -267,7 +297,7 @@ func TestOutcomeShapeAcrossEngines(t *testing.T) {
 	}
 	for i, d := range lib.Defects {
 		shapes := make(map[Engine][]byte)
-		for _, eng := range []Engine{Auto, Execute, Replay, Batch} {
+		for _, eng := range []Engine{Batch, Execute} {
 			out, err := r.RunDefectEngine(core.DataBus, d.Params, eng)
 			if err != nil {
 				t.Fatal(err)
@@ -281,12 +311,9 @@ func TestOutcomeShapeAcrossEngines(t *testing.T) {
 			}
 			shapes[eng] = js
 		}
-		// The exact engines must agree byte-for-byte; Replay is an
-		// approximation, but on replay-clean defects it sees the same clean
-		// traces and must produce the identical (normalized) outcome.
-		if string(shapes[Auto]) != string(shapes[Execute]) || string(shapes[Auto]) != string(shapes[Batch]) {
-			t.Errorf("defect %d: exact engines disagree:\nauto:    %s\nexecute: %s\nbatch:   %s",
-				i, shapes[Auto], shapes[Execute], shapes[Batch])
+		if string(shapes[Batch]) != string(shapes[Execute]) {
+			t.Errorf("defect %d: engines disagree:\nbatch:   %s\nexecute: %s",
+				i, shapes[Batch], shapes[Execute])
 		}
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/crosstalk"
 	"repro/internal/defects"
+	"repro/internal/target"
 )
 
 func TestParseEngine(t *testing.T) {
@@ -18,12 +20,12 @@ func TestParseEngine(t *testing.T) {
 		want Engine
 		ok   bool
 	}{
-		{"", Auto, true},
-		{"auto", Auto, true},
-		{"execute", Execute, true},
-		{"replay", Replay, true},
+		{"", Batch, true},
+		{"auto", Batch, true},
 		{"batch", Batch, true},
-		{"warp", Auto, false},
+		{"execute", Execute, true},
+		{"replay", Batch, false},
+		{"warp", Batch, false},
 	}
 	for _, c := range cases {
 		got, err := ParseEngine(c.in)
@@ -31,11 +33,17 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
 		}
 	}
-	for _, e := range []Engine{Auto, Execute, Replay, Batch} {
+	for _, e := range []Engine{Batch, Execute} {
 		back, err := ParseEngine(e.String())
 		if err != nil || back != e {
 			t.Errorf("round trip %v -> %q -> %v, %v", e, e.String(), back, err)
 		}
+	}
+	if got, want := EngineChoices(), "auto, batch, or execute"; got != want {
+		t.Errorf("EngineChoices() = %q, want %q", got, want)
+	}
+	if _, err := ParseEngine("replay"); err == nil || !strings.Contains(err.Error(), EngineChoices()) {
+		t.Errorf("ParseEngine error %v does not list the accepted spellings", err)
 	}
 }
 
@@ -57,11 +65,12 @@ func comparableOf(out Outcome) comparable {
 	}
 }
 
-// TestEnginesAgreeProperty is the replay-soundness property test: over
-// randomized defect libraries and seeds on both busses, the Auto engine
-// (replay + divergence fallback) must return exactly the Outcome the
-// Execute engine (full per-session CPU execution) returns, and the Replay
-// screening engine must never clear a defect that Execute detects.
+// TestEnginesAgreeProperty is the sweep-soundness property test: over
+// randomized defect libraries and seeds on both Parwan busses and on the
+// 16-wire scripted bus, a single-defect RunDefect (the batched engine over a
+// library of one) must return exactly the Outcome the Execute oracle (full
+// per-session CPU execution) returns, without ever running the Execute tier
+// itself: every run is a sweep clearance or a resumed-execution fallback.
 func TestEnginesAgreeProperty(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -71,31 +80,54 @@ func TestEnginesAgreeProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(plan, addr, data)
+	wide := target.MustWideBus(16)
+	widePlan, err := wide.Generate(target.GenSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wideModels, err := wide.BusModels(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parwanRunner := func(t *testing.T) *Runner {
+		r, err := NewRunner(plan, addr, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	wideRunner := func(t *testing.T) *Runner {
+		r, err := NewTargetRunner(wide, widePlan, wideModels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	cases := []struct {
-		bus   core.BusID
-		setup BusSetup
-		sigma float64
-		seed  int64
+		name   string
+		runner func(*testing.T) *Runner
+		bus    core.BusID
+		setup  BusSetup
+		sigma  float64
+		seed   int64
 	}{
-		{core.AddrBus, addr, 0.30, 101},
-		{core.AddrBus, addr, 0.45, 202},
-		{core.DataBus, data, 0.30, 303},
-		{core.DataBus, data, 0.45, 404},
+		{"addr", parwanRunner, core.AddrBus, addr, 0.30, 101},
+		{"addr", parwanRunner, core.AddrBus, addr, 0.45, 202},
+		{"data", parwanRunner, core.DataBus, data, 0.30, 303},
+		{"data", parwanRunner, core.DataBus, data, 0.45, 404},
+		{wide.Name(), wideRunner, 0, wideModels[0], 0.30, 505},
+		{wide.Name(), wideRunner, 0, wideModels[0], 0.45, 606},
 	}
 	for _, c := range cases {
 		c := c
-		t.Run(fmt.Sprintf("%v/sigma%.2f/seed%d", c.bus, c.sigma, c.seed), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/sigma%.2f/seed%d", c.name, c.sigma, c.seed), func(t *testing.T) {
 			lib, err := defects.Generate(c.setup.Nominal, c.setup.Thresholds,
 				defects.Config{Size: 12, Sigma: c.sigma, Seed: c.seed})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Library defects are all detectable by construction; add raw
-			// perturbations (detectable or not) so the replay-clean path is
+			// perturbations (detectable or not) so the sweep-clean path is
 			// exercised as well as the fallback path.
 			params := make([]*crosstalk.Params, 0, 2*len(lib.Defects))
 			for _, d := range lib.Defects {
@@ -105,35 +137,36 @@ func TestEnginesAgreeProperty(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				params = append(params, defects.Perturb(c.setup.Nominal, c.sigma/2, rng))
 			}
+			ref, r := c.runner(t), c.runner(t)
 			sawReplayed, sawFallback := false, false
 			for i, p := range params {
-				exec, err := r.RunDefectEngine(c.bus, p, Execute)
+				exec, err := ref.RunDefectEngine(c.bus, p, Execute)
 				if err != nil {
 					t.Fatal(err)
 				}
-				auto, err := r.RunDefectEngine(c.bus, p, Auto)
+				got, err := r.RunDefect(c.bus, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := comparableOf(auto), comparableOf(exec); !reflect.DeepEqual(got, want) {
-					t.Errorf("defect %d: auto %+v != execute %+v", i, got, want)
+				if g, w := comparableOf(got), comparableOf(exec); !reflect.DeepEqual(g, w) {
+					t.Errorf("defect %d: batch %+v != execute %+v", i, g, w)
 				}
-				if auto.Replayed {
+				if got.Replayed {
 					sawReplayed = true
+					if got.Detected || got.Activations != 0 {
+						t.Errorf("defect %d: sweep-cleared defect has detected=%v activations=%d",
+							i, got.Detected, got.Activations)
+					}
 				} else {
 					sawFallback = true
 				}
-				screen, err := r.RunDefectEngine(c.bus, p, Replay)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if exec.Detected && !screen.Detected {
-					t.Errorf("defect %d: detected by execute but cleared by replay screening", i)
-				}
-				if !screen.Detected && (auto.Activations != 0 || !auto.Replayed) {
-					t.Errorf("defect %d: replay-clean defect has activations=%d replayed=%v",
-						i, auto.Activations, auto.Replayed)
-				}
+			}
+			st := r.Stats()
+			if st.Executes != 0 || st.DegradedExecutes != 0 {
+				t.Errorf("single-defect runs reached the Execute tier: %+v", st)
+			}
+			if n := int64(len(params)); st.ReplayHits+st.Fallbacks != n {
+				t.Errorf("replayHits %d + fallbacks %d != %d runs", st.ReplayHits, st.Fallbacks, n)
 			}
 			if !sawReplayed || !sawFallback {
 				t.Logf("coverage note: replayed=%v fallback=%v (both paths ideally exercised)",
@@ -143,7 +176,7 @@ func TestEnginesAgreeProperty(t *testing.T) {
 	}
 }
 
-// TestEngineStatsAccounting checks the replay/fallback/execute counters add
+// TestEngineStatsAccounting checks the sweep/fallback/execute counters add
 // up across campaigns.
 func TestEngineStatsAccounting(t *testing.T) {
 	addr, data, err := DefaultSetups()
@@ -163,19 +196,19 @@ func TestEngineStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.CampaignCtx(context.Background(), core.DataBus, lib, CampaignOpts{Engine: Auto}); err != nil {
+	if _, err := r.CampaignCtx(context.Background(), core.DataBus, lib, CampaignOpts{Engine: Batch}); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
 	if st.ReplayHits+st.Fallbacks != int64(len(lib.Defects)) {
-		t.Errorf("auto: replayHits %d + fallbacks %d != %d defects",
+		t.Errorf("batch: replayHits %d + fallbacks %d != %d defects",
 			st.ReplayHits, st.Fallbacks, len(lib.Defects))
 	}
-	if st.Executes != 0 || st.Screened != 0 {
-		t.Errorf("auto: unexpected executes=%d screened=%d", st.Executes, st.Screened)
+	if st.Executes != 0 {
+		t.Errorf("batch: unexpected executes=%d", st.Executes)
 	}
 	if st.MemoHits+st.MemoMisses == 0 {
-		t.Error("auto: no memo traffic recorded")
+		t.Error("batch: no memo traffic recorded")
 	}
 
 	r2, err := NewRunner(plan, addr, data)
@@ -202,7 +235,7 @@ func TestFig11EngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Fig11CampaignCtx(context.Background(), addr, data, core.DataBus, lib, true, CampaignOpts{Engine: Auto})
+	batch, err := Fig11CampaignCtx(context.Background(), addr, data, core.DataBus, lib, true, CampaignOpts{Engine: Batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +243,7 @@ func TestFig11EngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(auto, exec) {
-		t.Errorf("Fig11 auto series %+v != execute series %+v", auto, exec)
+	if !reflect.DeepEqual(batch, exec) {
+		t.Errorf("Fig11 batch series %+v != execute series %+v", batch, exec)
 	}
 }

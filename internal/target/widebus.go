@@ -14,7 +14,7 @@ import (
 // exact word sequence the initiator drives, so every MA test is applicable
 // (no placement constraints, no address conflicts) and the response is the
 // word the receiver latches at each step. It exists to prove the 4N MA-test
-// method and the two-tier engine generalize past the paper's Parwan buses,
+// method and the batched engine generalize past the paper's Parwan buses,
 // and to exercise widths the packed transmit memo cannot cover.
 type wideBusTarget struct {
 	width int

@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench_pr2.sh runs the campaign-scale benchmarks (E4 Fig. 11 coverage, E5
 # total defect coverage, and the per-engine E5 variants) once each and writes
-# the timings to BENCH_PR2.json, recording the speedup of the trace-replay
-# engine (auto) over full per-defect execution.
+# the timings to BENCH_PR2.json, recording the speedup of the batched engine
+# over full per-defect execution.
 #
 # Usage: scripts/bench_pr2.sh [output.json]
 set -eu
@@ -23,7 +23,7 @@ END {
     order = "BenchmarkE4_Fig11AddressBusCoverage " \
             "BenchmarkE5_TotalDefectCoverage " \
             "BenchmarkE5_EngineExecute " \
-            "BenchmarkE5_EngineAuto"
+            "BenchmarkE5_EngineBatch"
     n = split(order, names, " ")
     printf "{\n" > out
     printf "  \"bench\": {\n" >> out
@@ -36,8 +36,8 @@ END {
             names[i], ns[names[i]], (i < n) ? "," : "" >> out
     }
     printf "  },\n" >> out
-    printf "  \"e5_speedup_execute_over_auto\": %.2f\n", \
-        ns["BenchmarkE5_EngineExecute"] / ns["BenchmarkE5_EngineAuto"] >> out
+    printf "  \"e5_speedup_execute_over_batch\": %.2f\n", \
+        ns["BenchmarkE5_EngineExecute"] / ns["BenchmarkE5_EngineBatch"] >> out
     printf "}\n" >> out
 }
 '

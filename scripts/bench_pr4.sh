@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench_pr4.sh records the distributed-fleet comparison: the E5 campaign run
-# standalone (auto engine, one node) versus dispatched by a fleet
+# standalone (batched engine, one node) versus dispatched by a fleet
 # coordinator across 4 in-process HTTP workers, written to BENCH_PR4.json.
 # On a single machine the fleet shares the standalone run's cores, so the
 # ratio records the distribution overhead a real multi-machine fleet
@@ -12,7 +12,7 @@ set -eu
 out=${1:-BENCH_PR4.json}
 cd "$(dirname "$0")/.."
 
-raw=$(go test -run '^$' -bench 'E5_EngineAuto|E5_Fleet4Workers' -benchtime 1x .)
+raw=$(go test -run '^$' -bench 'E5_EngineBatch|E5_Fleet4Workers' -benchtime 1x .)
 echo "$raw" >&2
 
 echo "$raw" | awk -v out="$out" '
@@ -22,7 +22,7 @@ $1 ~ /^Benchmark/ {
     ns[name] = $3
 }
 END {
-    order = "BenchmarkE5_EngineAuto BenchmarkE5_Fleet4Workers"
+    order = "BenchmarkE5_EngineBatch BenchmarkE5_Fleet4Workers"
     n = split(order, names, " ")
     printf "{\n" > out
     printf "  \"bench\": {\n" >> out
@@ -37,7 +37,7 @@ END {
     }
     printf "  },\n" >> out
     printf "  \"e5_fleet4_over_standalone\": %.2f\n", \
-        ns["BenchmarkE5_Fleet4Workers"] / ns["BenchmarkE5_EngineAuto"] >> out
+        ns["BenchmarkE5_Fleet4Workers"] / ns["BenchmarkE5_EngineBatch"] >> out
     printf "}\n" >> out
 }
 '

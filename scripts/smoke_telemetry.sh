@@ -74,7 +74,7 @@ for wport in "$w1port" "$w2port"; do
 done
 
 # Wait until the coordinator has scraped both workers (each heartbeat
-# carries the worker's metrics exposition).
+# carries a snapshot of the worker's metrics registry).
 i=0
 until curl -fsS "$cbase/fleet/status" 2>/dev/null | grep -c '"scraped": *true' | grep -qx 2; do
     i=$((i + 1))

@@ -16,9 +16,10 @@ import (
 )
 
 // TestWideBusEngineByteIdentity renders the same wide-bus campaign through
-// the Auto (replay + resume) and Execute engines and requires identical
-// report bytes — the same guarantee TestEngineByteIdentityE5 pins for
-// Parwan, extended to the scripted backend at 16, 32 and 64 wires.
+// the batched engine (spelled "auto" and "batch") and the Execute engine and
+// requires identical report bytes — the same guarantee
+// TestEngineByteIdentityE5 pins for Parwan, extended to the scripted backend
+// at 16, 32 and 64 wires.
 func TestWideBusEngineByteIdentity(t *testing.T) {
 	size := 400
 	if testing.Short() {
@@ -58,28 +59,31 @@ func TestWideBusEngineByteIdentity(t *testing.T) {
 				return buf.Bytes()
 			}
 			exec := render(sim.Execute)
-			auto := render(sim.Auto)
-			if !bytes.Equal(exec, auto) {
-				t.Fatalf("auto and execute campaign JSON differ (%d vs %d bytes)", len(auto), len(exec))
-			}
-			before := r.Stats()
-			batch := render(sim.Batch)
-			if !bytes.Equal(exec, batch) {
-				t.Fatalf("batch and execute campaign JSON differ (%d vs %d bytes)", len(batch), len(exec))
-			}
-			after := r.Stats()
-			if d := after.Executes - before.Executes; d != 0 {
-				t.Errorf("batch campaign performed %d full Execute runs, want 0", d)
-			}
-			screened := after.BatchScreened - before.BatchScreened
-			if screened+(after.Fallbacks-before.Fallbacks) != int64(size) {
-				t.Errorf("batch accounting does not cover the library: %+v vs %+v", before, after)
+			for _, name := range []string{"auto", "batch"} {
+				eng, err := sim.ParseEngine(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := r.Stats()
+				got := render(eng)
+				after := r.Stats()
+				if !bytes.Equal(exec, got) {
+					t.Fatalf("%s and execute campaign JSON differ (%d vs %d bytes)", name, len(got), len(exec))
+				}
+				if d := after.Executes - before.Executes; d != 0 {
+					t.Errorf("%s campaign performed %d full Execute runs, want 0", name, d)
+				}
+				screened := after.BatchScreened - before.BatchScreened
+				if screened+(after.Fallbacks-before.Fallbacks) != int64(size) {
+					t.Errorf("%s accounting does not cover the library: %+v vs %+v", name, before, after)
+				}
+				t.Logf("width %d, %s: %d defects, %d identical bytes (%d batch-screened)",
+					width, name, size, len(exec), screened)
 			}
 			st := r.Stats()
 			if st.Executes == 0 || st.ReplayHits+st.Fallbacks == 0 {
 				t.Errorf("engine accounting did not cover both tiers: %+v", st)
 			}
-			t.Logf("width %d: %d defects, %d identical bytes (%d batch-screened)", width, size, len(exec), screened)
 		})
 	}
 }
