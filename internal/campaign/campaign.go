@@ -161,11 +161,8 @@ func SpecPlan(spec Spec) (*core.Plan, error) { return planFor(spec.normalized())
 // generated from the spec's generation config) and returns its content hash
 // — the campaign identity every fleet node derives independently.
 func SpecPlanHash(spec Spec) (string, error) {
-	plan, err := planFor(spec.normalized())
-	if err != nil {
-		return "", err
-	}
-	return PlanHash(plan)
+	_, hash, err := hashedPlan(spec.normalized())
+	return hash, err
 }
 
 // SpecCth resolves the detectability threshold the spec's Cth factor derives
@@ -517,6 +514,11 @@ type Metrics struct {
 	GoldenCacheMisses  int64 `json:"golden_cache_misses"`
 	LibraryCacheHits   int64 `json:"library_cache_hits"`
 	LibraryCacheMisses int64 `json:"library_cache_misses"`
+	// PlanCacheHits counts plan resolutions the node's plan memo served
+	// (jobs, shards and shard-key checks); PlanCacheMisses counts the plan
+	// generations it performed. Inline plans count as neither.
+	PlanCacheHits   int64 `json:"plan_cache_hits"`
+	PlanCacheMisses int64 `json:"plan_cache_misses"`
 	// InfieldSlices counts slices executed and merged by infield jobs;
 	// InfieldDetections and InfieldGap mirror the cumulative-coverage
 	// gauges of the most recent merge; InfieldWorkloadCycles totals the
@@ -568,6 +570,7 @@ type libKey struct {
 type Manager struct {
 	slots chan struct{}
 	obs   *obs.Telemetry
+	plans *PlanMemo
 
 	mu      sync.Mutex
 	closed  bool
@@ -609,6 +612,7 @@ func New(cfg Config) *Manager {
 	m := &Manager{
 		slots:     make(chan struct{}, w),
 		obs:       t,
+		plans:     NewPlanMemo(),
 		jobs:      make(map[string]*Job),
 		runners:   make(map[string]*sim.Runner),
 		libs:      make(map[libKey]*defects.Library),
@@ -627,6 +631,10 @@ func New(cfg Config) *Manager {
 	m.goldenMisses = reg.Counter("xtalkd_golden_cache_misses_total", "golden runner cache misses")
 	m.libHits = reg.Counter("xtalkd_library_cache_hits_total", "defect library cache hits")
 	m.libMisses = reg.Counter("xtalkd_library_cache_misses_total", "defect library cache misses")
+	reg.CounterFunc("xtalkd_plan_cache_hits_total", "self-test plan resolutions served by the plan memo",
+		func() float64 { hits, _ := m.plans.Stats(); return float64(hits) })
+	reg.CounterFunc("xtalkd_plan_cache_misses_total", "self-test plans generated (plan memo misses)",
+		func() float64 { _, misses := m.plans.Stats(); return float64(misses) })
 	m.infieldSlices = reg.Counter("xtalkd_infield_slices_run_total", "in-field test slices executed and merged into a coverage ledger")
 	m.infieldWorkloadCycles = reg.Counter("xtalkd_infield_workload_cycles_total", "functional-workload cycles interleaved between in-field slices")
 	m.infieldDetections = reg.Gauge("xtalkd_infield_cumulative_detections", "cumulative defects detected by the most recently merged in-field slice")
@@ -641,13 +649,13 @@ func New(cfg Config) *Manager {
 		func() float64 { return float64(len(m.slots)) })
 	reg.GaugeFunc("xtalkd_jobs_pending", "jobs accepted and waiting to start (the queue depth)",
 		func() float64 { return float64(m.jobsInState(Pending)) })
-	reg.CounterFunc("xtalkd_engine_replay_hits_total", "defects resolved by trace replay alone",
+	reg.CounterFunc("xtalkd_engine_replay_hits_total", "defects the batched screening sweep settled without resumed execution",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.ReplayHits }))
-	reg.CounterFunc("xtalkd_engine_fallbacks_total", "auto-engine runs that fell back to execution",
+	reg.CounterFunc("xtalkd_engine_fallbacks_total", "batched-engine defects whose sweep diverged and that resumed execution",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.Fallbacks }))
 	reg.CounterFunc("xtalkd_engine_executes_total", "defect runs performed by the execute tier",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.Executes }))
-	reg.CounterFunc("xtalkd_engine_degraded_executes_total", "replay-engine requests degraded to execution (replay precondition void)",
+	reg.CounterFunc("xtalkd_engine_degraded_executes_total", "batched-engine defect runs degraded to full execution (golden traffic erred, so the sweep is void)",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.DegradedExecutes }))
 	reg.CounterFunc("xtalkd_engine_batch_screened_total", "defects cleared by the batched library-wide screening sweep",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.BatchScreened }))
@@ -688,7 +696,7 @@ func New(cfg Config) *Manager {
 	})
 	t.SLO.Add(obs.Objective{
 		Name:        "degraded_execute_ratio",
-		Description: "replay-precondition degradations stay rare relative to total defect runs",
+		Description: "batched-engine runs degraded to full execution (golden traffic erred, so the sweep is void) stay rare relative to total defect runs",
 		Source: obs.RatioSource(
 			func() float64 { return float64(m.defectsSimulated.Value()) },
 			m.engineStat(func(s sim.EngineStats) int64 { return s.DegradedExecutes })),
@@ -736,6 +744,10 @@ func (m *Manager) Workers() int { return cap(m.slots) }
 // Obs returns the manager's telemetry bundle (never nil).
 func (m *Manager) Obs() *obs.Telemetry { return m.obs }
 
+// Plans returns the manager's plan memo, which its jobs and shards resolve
+// plans through (a fleet worker checks shard keys against it too).
+func (m *Manager) Plans() *PlanMemo { return m.plans }
+
 // HealthFacts snapshots live registry facts for /healthz: pool occupancy and
 // the job table by state.
 func (m *Manager) HealthFacts() map[string]any {
@@ -777,6 +789,7 @@ func (m *Manager) Metrics() Metrics {
 		eng.MemoUnsupported += s.MemoUnsupported
 	}
 	m.mu.Unlock()
+	planHits, planMisses := m.plans.Stats()
 	return Metrics{
 		Engine:                eng,
 		JobsSubmitted:         m.jobsSubmitted.Value(),
@@ -790,6 +803,8 @@ func (m *Manager) Metrics() Metrics {
 		GoldenCacheMisses:     m.goldenMisses.Value(),
 		LibraryCacheHits:      m.libHits.Value(),
 		LibraryCacheMisses:    m.libMisses.Value(),
+		PlanCacheHits:         planHits,
+		PlanCacheMisses:       planMisses,
 		InfieldSlices:         m.infieldSlices.Value(),
 		InfieldDetections:     m.infieldDetections.Value(),
 		InfieldGap:            m.infieldGap.Value(),
@@ -953,15 +968,7 @@ func planFor(spec Spec) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	only := ""
-	if spec.TargetOnly {
-		only = spec.Bus
-	}
-	return tgt.Generate(target.GenSpec{
-		Compaction:  spec.Compaction,
-		MaxSessions: spec.MaxSessions,
-		OnlyChannel: only,
-	})
+	return tgt.Generate(genSpec(spec))
 }
 
 // PlanHash is the cache identity of a plan: SHA-256 over its canonical
@@ -976,13 +983,10 @@ func PlanHash(p *core.Plan) (string, error) {
 }
 
 // runnerFor returns a cached golden runner for (target, plan hash, cth),
-// building and caching one on miss. Runners are read-only after
-// construction, so one instance safely serves concurrent jobs.
-func (m *Manager) runnerFor(tgt target.Target, plan *core.Plan, models []sim.BusSetup, cth float64) (*sim.Runner, bool, error) {
-	hash, err := PlanHash(plan)
-	if err != nil {
-		return nil, false, err
-	}
+// building and caching one on miss; hash is the plan's PlanHash. Runners are
+// read-only after construction, so one instance safely serves concurrent
+// jobs.
+func (m *Manager) runnerFor(tgt target.Target, plan *core.Plan, hash string, models []sim.BusSetup, cth float64) (*sim.Runner, bool, error) {
 	key := fmt.Sprintf("%s|%s|cth=%g", tgt.Name(), hash, cth)
 	m.mu.Lock()
 	r, ok := m.runners[key]
@@ -992,7 +996,7 @@ func (m *Manager) runnerFor(tgt target.Target, plan *core.Plan, models []sim.Bus
 		return r, true, nil
 	}
 	m.goldenMisses.Add(1)
-	r, err = sim.NewTargetRunner(tgt, plan, models)
+	r, err := sim.NewTargetRunner(tgt, plan, models)
 	if err != nil {
 		return nil, false, err
 	}
@@ -1125,12 +1129,12 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 		setupSpan.End()
 		return nil, nil, err
 	}
-	plan, err := planFor(spec)
+	plan, hash, planHit, err := m.plans.Resolve(spec)
 	if err != nil {
 		setupSpan.End()
 		return nil, nil, err
 	}
-	runner, goldenHit, err := m.runnerFor(tgt, plan, models, spec.CthFactor)
+	runner, goldenHit, err := m.runnerFor(tgt, plan, hash, models, spec.CthFactor)
 	if err != nil {
 		setupSpan.End()
 		return nil, nil, err
@@ -1141,6 +1145,7 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 	}
 	setup := models[spec.busID()]
 	lib, libHit, err := m.libraryFor(spec, setup)
+	setupSpan.SetAttr("plan_cached", fmt.Sprint(planHit))
 	setupSpan.SetAttr("golden_cached", fmt.Sprint(goldenHit))
 	setupSpan.SetAttr("library_cached", fmt.Sprint(libHit))
 	setupSpan.End()
@@ -1338,23 +1343,20 @@ func minimizedPlan(spec Spec, filter func(maf.Fault) bool) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	only := ""
-	if spec.TargetOnly {
-		only = spec.Bus
-	}
-	return tgt.Generate(target.GenSpec{
-		Compaction:  spec.Compaction,
-		MaxSessions: spec.MaxSessions,
-		OnlyChannel: only,
-		Filter:      filter,
-	})
+	g := genSpec(spec)
+	g.Filter = filter
+	return tgt.Generate(g)
 }
 
 // verifyCampaign re-simulates the spec's defect library under a minimized
 // plan, sharing the manager's runner cache, worker pool and engine choice
 // with the base campaign.
 func (m *Manager) verifyCampaign(ctx context.Context, spec Spec, minPlan *core.Plan, env *execEnv) (*sim.CampaignResult, error) {
-	runner, _, err := m.runnerFor(env.tgt, minPlan, env.models, spec.CthFactor)
+	hash, err := PlanHash(minPlan)
+	if err != nil {
+		return nil, err
+	}
+	runner, _, err := m.runnerFor(env.tgt, minPlan, hash, env.models, spec.CthFactor)
 	if err != nil {
 		return nil, err
 	}
@@ -1420,11 +1422,11 @@ func (m *Manager) RunShard(ctx context.Context, spec Spec, start, end int) ([]si
 	if err != nil {
 		return nil, sim.EngineStats{}, err
 	}
-	plan, err := planFor(spec)
+	plan, hash, planHit, err := m.plans.Resolve(spec)
 	if err != nil {
 		return nil, sim.EngineStats{}, err
 	}
-	runner, _, err := m.runnerFor(tgt, plan, models, spec.CthFactor)
+	runner, _, err := m.runnerFor(tgt, plan, hash, models, spec.CthFactor)
 	if err != nil {
 		return nil, sim.EngineStats{}, err
 	}
@@ -1456,7 +1458,8 @@ func (m *Manager) RunShard(ctx context.Context, spec Spec, start, end int) ([]si
 	sctx, span := obs.StartSpan(ctx, "shard.execute",
 		obs.Label{Key: "start", Value: fmt.Sprint(start)},
 		obs.Label{Key: "end", Value: fmt.Sprint(end)},
-		obs.Label{Key: "bus", Value: spec.Bus})
+		obs.Label{Key: "bus", Value: spec.Bus},
+		obs.Label{Key: "plan_cached", Value: fmt.Sprint(planHit)})
 	res, err := runner.CampaignCtx(sctx, spec.busID(), sub, opts)
 	span.End()
 	if err != nil {

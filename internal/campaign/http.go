@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -131,12 +132,31 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	return job, true
 }
 
+// MaxSpecBytes bounds a request body that carries a Spec (a campaign
+// submission, a fleet shard or a fleet campaign request). The largest inline
+// plan the repository ships is widebus64's full plan, which the CLI's fleet
+// in-field and minimize paths send as sub-plans or minimized plans of it:
+// 201 KB as core.WritePlan writes it and 74 KB compacted inside a
+// JSON-encoded spec (229 KB and 80 KB at its 256-session maximum). 1 MiB
+// leaves over 4x headroom on the indented form.
+const MaxSpecBytes = 1 << 20
+
+// DecodeStatus maps a request-body decode error to its HTTP status: 413 when
+// the body exceeded its http.MaxBytesReader bound, 400 when it is malformed.
+func DecodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+		writeError(w, DecodeStatus(err), fmt.Errorf("decoding spec: %w", err))
 		return
 	}
 	job, err := s.m.Submit(spec)

@@ -316,6 +316,23 @@ func TestHTTPBadSubmissions(t *testing.T) {
 	}
 }
 
+func TestHTTPSubmitBodyBound(t *testing.T) {
+	m, ts := newTestServer(t, 1)
+	big := `{"bus":"addr","plan":"` + strings.Repeat("x", MaxSpecBytes) + `"}`
+	for body, want := range map[string]int{
+		big:                   http.StatusRequestEntityTooLarge,
+		`{"bus":"addr","plan`: http.StatusBadRequest,
+	} {
+		resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns", body)
+		if resp.StatusCode != want {
+			t.Errorf("submit %d-byte body: status %d, want %d: %s", len(body), resp.StatusCode, want, data)
+		}
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Fatalf("rejected bodies registered %d jobs", n)
+	}
+}
+
 func TestHTTPHealthAndMetrics(t *testing.T) {
 	m, ts := newTestServer(t, 2)
 	resp, body := doJSON(t, http.MethodGet, ts.URL+"/healthz", "")
@@ -351,6 +368,8 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		"xtalkd_defects_simulated_total 60",
 		"xtalkd_fleet_shards_served_total 0",
 		"xtalkd_golden_cache_misses_total 1",
+		"xtalkd_plan_cache_hits_total 0",
+		"xtalkd_plan_cache_misses_total 1",
 		"xtalkd_workers 2",
 		"xtalkd_engine_replay_hits_total ",
 		"xtalkd_engine_fallbacks_total ",

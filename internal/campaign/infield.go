@@ -39,7 +39,7 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 		setupSpan.End()
 		return nil, nil, err
 	}
-	plan, err := planFor(spec)
+	plan, hash, planHit, err := m.plans.Resolve(spec)
 	if err != nil {
 		setupSpan.End()
 		return nil, nil, err
@@ -47,13 +47,14 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 	// The full-plan runner provides the deterministic per-session golden
 	// costs the slicer partitions by (and warms the cache for the one-shot
 	// campaign the identity is proven against).
-	runner, goldenHit, err := m.runnerFor(tgt, plan, models, spec.CthFactor)
+	runner, goldenHit, err := m.runnerFor(tgt, plan, hash, models, spec.CthFactor)
 	if err != nil {
 		setupSpan.End()
 		return nil, nil, err
 	}
 	setup := models[spec.busID()]
 	lib, libHit, err := m.libraryFor(spec, setup)
+	setupSpan.SetAttr("plan_cached", fmt.Sprint(planHit))
 	setupSpan.SetAttr("golden_cached", fmt.Sprint(goldenHit))
 	setupSpan.SetAttr("library_cached", fmt.Sprint(libHit))
 	setupSpan.End()
@@ -61,10 +62,6 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 		return nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	hash, err := PlanHash(plan)
-	if err != nil {
 		return nil, nil, err
 	}
 	manifest, err := infield.BuildManifest(plan,
@@ -139,7 +136,11 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 			}
 			// Each slice's sub-plan has its own content hash, so recurring
 			// executions of the same schedule hit the runner cache.
-			sliceRunner, _, err := m.runnerFor(tgt, sub, models, spec.CthFactor)
+			subHash, err := PlanHash(sub)
+			if err != nil {
+				return nil, err
+			}
+			sliceRunner, _, err := m.runnerFor(tgt, sub, subHash, models, spec.CthFactor)
 			if err != nil {
 				return nil, err
 			}

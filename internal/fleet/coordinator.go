@@ -124,8 +124,9 @@ type FleetStats struct {
 // backoff, and merges partial results into the exact single-node campaign
 // result.
 type Coordinator struct {
-	cfg CoordinatorConfig
-	obs *obs.Telemetry
+	cfg   CoordinatorConfig
+	obs   *obs.Telemetry
+	plans *campaign.PlanMemo // resolves the plan hash behind each shard key
 
 	mu      sync.Mutex
 	workers map[string]*workerState
@@ -143,7 +144,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if t == nil {
 		t = obs.NewTelemetry()
 	}
-	c := &Coordinator{cfg: cfg, obs: t, workers: make(map[string]*workerState)}
+	c := &Coordinator{cfg: cfg, obs: t, plans: campaign.NewPlanMemo(), workers: make(map[string]*workerState)}
 	reg := t.Reg
 	c.campaigns = reg.Counter("xtalkd_fleet_campaigns_total", "distributed campaigns run")
 	c.campaignsFailed = reg.Counter("xtalkd_fleet_campaigns_failed_total", "distributed campaigns that failed")
@@ -367,7 +368,7 @@ func (c *Coordinator) runCampaign(ctx context.Context, spec campaign.Spec, shard
 	if shardCount <= 0 {
 		shardCount = c.cfg.ShardsPerWorker * live
 	}
-	key, err := SpecShardKey(spec, shardCount)
+	key, err := specShardKey(spec, shardCount, c.plans.Hash)
 	if err != nil {
 		return nil, 0, FleetStats{}, err
 	}

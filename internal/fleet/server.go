@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -86,12 +85,7 @@ const maxRegisterBytes = 1 << 20
 func (s *CoordinatorServer) register(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRegisterBytes)).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSONError(w, code, fmt.Errorf("decoding registration: %w", err))
+		writeJSONError(w, campaign.DecodeStatus(err), fmt.Errorf("decoding registration: %w", err))
 		return
 	}
 	if req.URL == "" {
@@ -124,10 +118,10 @@ type CampaignRequest struct {
 
 func (s *CoordinatorServer) campaign(w http.ResponseWriter, r *http.Request) {
 	var req CampaignRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, campaign.MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("decoding campaign request: %w", err))
+		writeJSONError(w, campaign.DecodeStatus(err), fmt.Errorf("decoding campaign request: %w", err))
 		return
 	}
 	res, width, fs, err := s.c.RunCampaign(r.Context(), req.Spec, req.Shards)

@@ -56,12 +56,20 @@ func ShardKey(planHash string, seed int64, sigma, cth float64, total, count int)
 // spec's plan hash and normalized library parameters. Every node of a fleet
 // computes the same key for the same spec and shard count, which is how a
 // worker verifies that an assignment matches its own view of the campaign.
+// It resolves the plan afresh; serving nodes derive the same key through
+// their plan memo.
 func SpecShardKey(spec campaign.Spec, count int) (string, error) {
-	hash, err := campaign.SpecPlanHash(spec)
+	return specShardKey(spec, count, campaign.SpecPlanHash)
+}
+
+// specShardKey derives SpecShardKey with the plan hash that planHash
+// resolves: campaign.SpecPlanHash, or a node's campaign.PlanMemo.Hash.
+func specShardKey(spec campaign.Spec, count int, planHash func(campaign.Spec) (string, error)) (string, error) {
+	n := spec.Normalized()
+	hash, err := planHash(n)
 	if err != nil {
 		return "", err
 	}
-	n := spec.Normalized()
 	cth, err := campaign.SpecCth(spec)
 	if err != nil {
 		return "", err

@@ -71,14 +71,18 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.mux.Serv
 
 func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
-	dec := json.NewDecoder(r.Body)
+	// A shard request is a spec plus a key and a range, well inside the
+	// spec bound's headroom.
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, campaign.MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSONError(rw, http.StatusBadRequest, fmt.Errorf("decoding shard request: %w", err))
+		writeJSONError(rw, campaign.DecodeStatus(err), fmt.Errorf("decoding shard request: %w", err))
 		return
 	}
 	if req.Key != "" {
-		key, err := SpecShardKey(req.Spec, req.Shards)
+		// The key is derived from this node's own resolved plan; the plan
+		// memo only spares regenerating it for every shard.
+		key, err := specShardKey(req.Spec, req.Shards, w.m.Plans().Hash)
 		if err != nil {
 			writeJSONError(rw, http.StatusBadRequest, err)
 			return
