@@ -572,13 +572,16 @@ type Manager struct {
 	obs   *obs.Telemetry
 	plans *PlanMemo
 
-	mu      sync.Mutex
-	closed  bool
-	jobs    map[string]*Job
-	order   []string
-	seq     int
-	runners map[string]*sim.Runner // keyed by plan hash + cth factor
-	libs    map[libKey]*defects.Library
+	// The golden-runner and defect-library caches; the runner key is
+	// target, plan hash and Cth factor.
+	runners flightCache[string, *sim.Runner]
+	libs    flightCache[libKey, *defects.Library]
+
+	mu     sync.Mutex
+	closed bool
+	jobs   map[string]*Job
+	order  []string
+	seq    int
 
 	wg sync.WaitGroup // running jobs, for Drain
 
@@ -614,8 +617,6 @@ func New(cfg Config) *Manager {
 		obs:       t,
 		plans:     NewPlanMemo(),
 		jobs:      make(map[string]*Job),
-		runners:   make(map[string]*sim.Runner),
-		libs:      make(map[libKey]*defects.Library),
 		baselines: infield.NewBaselineStore(cfg.BaselineDir),
 		driftTol:  cfg.DriftTolerance,
 	}
@@ -729,11 +730,7 @@ func (m *Manager) Baselines() *infield.BaselineStore { return m.baselines }
 func (m *Manager) engineStat(get func(sim.EngineStats) int64) func() float64 {
 	return func() float64 {
 		var total int64
-		m.mu.Lock()
-		for _, r := range m.runners {
-			total += get(r.Stats())
-		}
-		m.mu.Unlock()
+		m.runners.each(func(r *sim.Runner) { total += get(r.Stats()) })
 		return float64(total)
 	}
 }
@@ -775,8 +772,7 @@ func (m *Manager) HealthFacts() map[string]any {
 // Metrics snapshots the counters.
 func (m *Manager) Metrics() Metrics {
 	var eng sim.EngineStats
-	m.mu.Lock()
-	for _, r := range m.runners {
+	m.runners.each(func(r *sim.Runner) {
 		s := r.Stats()
 		eng.ReplayHits += s.ReplayHits
 		eng.Fallbacks += s.Fallbacks
@@ -787,8 +783,7 @@ func (m *Manager) Metrics() Metrics {
 		eng.MemoHits += s.MemoHits
 		eng.MemoMisses += s.MemoMisses
 		eng.MemoUnsupported += s.MemoUnsupported
-	}
-	m.mu.Unlock()
+	})
 	planHits, planMisses := m.plans.Stats()
 	return Metrics{
 		Engine:                eng,
@@ -988,26 +983,15 @@ func PlanHash(p *core.Plan) (string, error) {
 // jobs.
 func (m *Manager) runnerFor(tgt target.Target, plan *core.Plan, hash string, models []sim.BusSetup, cth float64) (*sim.Runner, bool, error) {
 	key := fmt.Sprintf("%s|%s|cth=%g", tgt.Name(), hash, cth)
-	m.mu.Lock()
-	r, ok := m.runners[key]
-	m.mu.Unlock()
-	if ok {
+	r, hit, err := m.runners.get(key, func() (*sim.Runner, error) {
+		return sim.NewTargetRunner(tgt, plan, models)
+	})
+	if hit {
 		m.goldenHits.Add(1)
-		return r, true, nil
-	}
-	m.goldenMisses.Add(1)
-	r, err := sim.NewTargetRunner(tgt, plan, models)
-	if err != nil {
-		return nil, false, err
-	}
-	m.mu.Lock()
-	if prev, ok := m.runners[key]; ok {
-		r = prev // lost a build race; keep the first
 	} else {
-		m.runners[key] = r
+		m.goldenMisses.Add(1)
 	}
-	m.mu.Unlock()
-	return r, false, nil
+	return r, hit, err
 }
 
 // libraryFor returns a cached defect library for the spec, generating and
@@ -1015,27 +999,16 @@ func (m *Manager) runnerFor(tgt target.Target, plan *core.Plan, hash string, mod
 func (m *Manager) libraryFor(spec Spec, setup sim.BusSetup) (*defects.Library, bool, error) {
 	key := libKey{target: spec.TargetName(), bus: spec.Bus, size: spec.Size,
 		sigma: spec.Sigma, seed: spec.Seed, cth: setup.Thresholds.Cth}
-	m.mu.Lock()
-	lib, ok := m.libs[key]
-	m.mu.Unlock()
-	if ok {
+	lib, hit, err := m.libs.get(key, func() (*defects.Library, error) {
+		return defects.Generate(setup.Nominal, setup.Thresholds,
+			defects.Config{Size: spec.Size, Sigma: spec.Sigma, Seed: spec.Seed})
+	})
+	if hit {
 		m.libHits.Add(1)
-		return lib, true, nil
-	}
-	m.libMisses.Add(1)
-	lib, err := defects.Generate(setup.Nominal, setup.Thresholds,
-		defects.Config{Size: spec.Size, Sigma: spec.Sigma, Seed: spec.Seed})
-	if err != nil {
-		return nil, false, err
-	}
-	m.mu.Lock()
-	if prev, ok := m.libs[key]; ok {
-		lib = prev
 	} else {
-		m.libs[key] = lib
+		m.libMisses.Add(1)
 	}
-	m.mu.Unlock()
-	return lib, false, nil
+	return lib, hit, err
 }
 
 // run executes a job to a terminal state. enqueued is when the job entered

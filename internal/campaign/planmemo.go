@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -31,33 +30,32 @@ func planKeyOf(spec Spec) planKey {
 		maxSessions: g.MaxSessions, onlyChannel: g.OnlyChannel}
 }
 
-// planEntry is one memoized generation; done is closed once plan, hash and
-// err are set, so concurrent callers of one key wait on a single generation.
-type planEntry struct {
-	done chan struct{}
+// hashedPlanVal is one memoized generation: the plan and its PlanHash.
+type hashedPlanVal struct {
 	plan *core.Plan
 	hash string
-	err  error
 }
 
 // PlanMemo memoizes a node's generated self-test plans with their content
 // hashes. Generation is a pure function of (target, generation config), so
 // a memoized plan is exactly the plan a fresh generation returns; the memo
 // only stops one node from repeating that work for every job and shard of a
-// campaign. Each Manager and each fleet Coordinator owns one; there is no
-// process-wide memo, so a fresh node always starts cold.
+// campaign. Concurrent callers of one key wait on a single generation. Each
+// Manager and each fleet Coordinator owns one; there is no process-wide
+// memo, so a fresh node always starts cold.
 //
 // Inline plan documents are parsed per call and never memoized. Memoized
 // plans are shared and must be treated as read-only, as runners already
 // treat them.
 type PlanMemo struct {
-	mu           sync.Mutex
-	entries      map[planKey]*planEntry
+	entries      flightCache[planKey, hashedPlanVal]
 	hits, misses atomic.Int64
 }
 
 // NewPlanMemo returns an empty memo.
-func NewPlanMemo() *PlanMemo { return &PlanMemo{entries: make(map[planKey]*planEntry)} }
+func NewPlanMemo() *PlanMemo {
+	return &PlanMemo{entries: flightCache[planKey, hashedPlanVal]{limit: maxPlanMemoEntries}}
+}
 
 // Resolve returns the spec's plan (inline document or generated from the
 // spec's generation config, as SpecPlan) with its PlanHash, and whether the
@@ -67,34 +65,16 @@ func (pm *PlanMemo) Resolve(spec Spec) (*core.Plan, string, bool, error) {
 		plan, hash, err := hashedPlan(spec)
 		return plan, hash, false, err
 	}
-	key := planKeyOf(spec)
-	pm.mu.Lock()
-	if e, ok := pm.entries[key]; ok {
-		pm.mu.Unlock()
+	v, hit, err := pm.entries.get(planKeyOf(spec), func() (hashedPlanVal, error) {
+		plan, hash, err := hashedPlan(spec)
+		return hashedPlanVal{plan, hash}, err
+	})
+	if hit {
 		pm.hits.Add(1)
-		<-e.done
-		return e.plan, e.hash, true, e.err
+	} else {
+		pm.misses.Add(1)
 	}
-	pm.misses.Add(1)
-	var e *planEntry
-	if len(pm.entries) < maxPlanMemoEntries {
-		e = &planEntry{done: make(chan struct{})}
-		pm.entries[key] = e
-	}
-	pm.mu.Unlock()
-	plan, hash, err := hashedPlan(spec)
-	if e == nil {
-		return plan, hash, false, err
-	}
-	e.plan, e.hash, e.err = plan, hash, err
-	if err != nil {
-		// Callers already waiting get the error; later ones retry.
-		pm.mu.Lock()
-		delete(pm.entries, key)
-		pm.mu.Unlock()
-	}
-	close(e.done)
-	return plan, hash, false, err
+	return v.plan, v.hash, hit, err
 }
 
 // Hash resolves the spec's plan hash through the memo (see Resolve).

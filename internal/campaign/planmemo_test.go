@@ -130,7 +130,7 @@ func TestPlanMemoKeyCompleteness(t *testing.T) {
 			t.Errorf("distinct[%d] %+v: cached=%v err=%v; want its own entry", i, spec, cached, err)
 		}
 	}
-	if n := len(pm.entries); n != 1+len(distinct) {
+	if n := pm.entries.len(); n != 1+len(distinct) {
 		t.Errorf("memo holds %d entries, want %d", n, 1+len(distinct))
 	}
 	// Inline plans bypass the memo entirely.
@@ -150,8 +150,9 @@ func TestPlanMemoKeyCompleteness(t *testing.T) {
 }
 
 // TestRunShardSingleGeneration sends 16 concurrent shards of one campaign to
-// a fresh manager: they wait on a single plan generation, and the merged
-// outcomes equal a cold execute-engine run's.
+// a fresh manager: they wait on a single plan generation, golden-runner
+// build and library generation, and the merged outcomes equal a cold
+// execute-engine run's.
 func TestRunShardSingleGeneration(t *testing.T) {
 	spec := Spec{Bus: "addr", Size: 64, Seed: 5, TargetOnly: true, Engine: "batch"}
 	const shards = 16
@@ -177,6 +178,8 @@ func TestRunShardSingleGeneration(t *testing.T) {
 	}
 	if mt := m.Metrics(); mt.PlanCacheMisses != 1 || mt.PlanCacheHits != shards-1 {
 		t.Errorf("plan cache: %d misses, %d hits; want 1 and %d", mt.PlanCacheMisses, mt.PlanCacheHits, shards-1)
+	} else if mt.GoldenCacheMisses != 1 || mt.LibraryCacheMisses != 1 {
+		t.Errorf("golden/library cache misses %d/%d, want 1/1", mt.GoldenCacheMisses, mt.LibraryCacheMisses)
 	}
 	got, err := sim.MergeOutcomes(spec.busID(), spec.Size, results)
 	if err != nil {
@@ -222,10 +225,7 @@ func TestPlanMemoCap(t *testing.T) {
 			t.Fatalf("job %s (max_sessions %d) ended %s: %s", job.ID(), job.Spec().MaxSessions, st.State, st.Error)
 		}
 	}
-	m.plans.mu.Lock()
-	n := len(m.plans.entries)
-	m.plans.mu.Unlock()
-	if n != maxPlanMemoEntries {
+	if n := m.plans.entries.len(); n != maxPlanMemoEntries {
 		t.Errorf("memo holds %d entries, want the cap %d", n, maxPlanMemoEntries)
 	}
 	if mt := m.Metrics(); mt.PlanCacheMisses != maxPlanMemoEntries+extra || mt.PlanCacheHits != 0 {
